@@ -1,37 +1,54 @@
-// Command nwquery streams an XML-like document from a file (or standard
-// input) through compiled nested-word-automaton queries, all evaluated by
-// the engine package in one left-to-right pass with memory bounded by the
-// document depth times the number of queries (Section 3.2 of the paper).
+// Command nwquery streams XML-like documents through compiled
+// nested-word-automaton queries, all evaluated by the engine package in one
+// left-to-right pass per document with memory bounded by the document depth
+// times the number of queries (Section 3.2 of the paper).
 //
 // Usage:
 //
-//	nwquery [-file doc.xml] [-format xml|json|trace] [-labels l1,l2,...]
+//	nwquery [-format xml|json|trace] [-labels l1,l2,...]
 //	        [-order l1,l2,...] [-path l1,l2,...] [-dsl QUERIES]
-//	nwquery [-file doc.xml] [-format ...] -queryset queries.nwq
+//	        [-dir directory] [file ...]
+//	nwquery [-format ...] -queryset queries.nwq [-dir directory] [file ...]
 //
-// The query automata need the document's tag/text alphabet up front.  Pass
-// it with -labels to stay fully streaming; without -labels the document is
-// buffered once to discover the alphabet before the engine pass.  With
-// -queryset the compile step is skipped entirely: the serialized bundle
-// written by `nwtool compile` is loaded (mmap'd read-only where available)
-// and its alphabet and query set are used as-is, which both stays fully
-// streaming and makes cold starts independent of query complexity.
+// Documents come from the positional file arguments and every regular file
+// under -dir; with neither, standard input is read as one streamed
+// document.  A single document gets one engine pass and its per-query
+// verdicts.  Several documents are served through a sharded serve.Pool (its
+// default shards, queue depth and hash affinity by document name), and the
+// report is the per-query accept counts and the throughput.
+//
+// The registered queries are well-formedness always, plus a linear-order
+// query (-order), a hierarchical path query (-path), and semicolon-separated
+// textual queries (-dsl, see internal/query/dsl) when given.  They need the
+// document alphabet up front.  Pass it with -labels to stay fully streaming
+// (labels are interned to compiled symbol IDs at the tokenizer; labels not
+// listed map to the dedicated out-of-alphabet ID and are uniformly
+// rejected); without -labels every document is decoded once first to
+// discover the alphabet, and -order/-path/-dsl labels join it.  With
+// -queryset no automaton is compiled at all: the serialized bundle written
+// by `nwtool compile` is loaded (mmap'd read-only where available) and its
+// alphabet and query set are used as-is, which both stays fully streaming
+// and makes cold starts independent of query complexity.
 //
 // -format routes the input through one of the internal/adapter event
 // sources — real XML via encoding/xml, JSON, or an enter/exit program trace
 // — instead of the native XML-like tokenizer; everything downstream (the
-// engine pass, the queries, the verdicts) is unchanged.  -dsl adds textual
-// queries (see internal/query/dsl), semicolon-separated, to the compiled
-// set; their labels join the alphabet like -order/-path labels do.
+// engine pass, the queries, the verdicts) is unchanged.
 package main
 
 import (
+	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
+	"time"
 
 	"repro/internal/adapter"
 	"repro/internal/alphabet"
@@ -39,26 +56,42 @@ import (
 	"repro/internal/engine"
 	"repro/internal/query"
 	"repro/internal/query/dsl"
+	"repro/internal/serve"
 )
 
 func main() {
-	file := flag.String("file", "", "document file (default: standard input)")
 	format := flag.String("format", "", "input format: xml, json, or trace (default: the native XML-like token syntax)")
-	labelsFlag := flag.String("labels", "", "comma-separated document alphabet: labels are interned to compiled symbol IDs at the tokenizer and the engine streams the input directly (labels not listed map to the out-of-alphabet ID and are uniformly rejected); without -labels the document is buffered once to discover the alphabet")
+	labelsFlag := flag.String("labels", "", "comma-separated document alphabet: labels are interned to compiled symbol IDs at the tokenizer and the engine streams the input directly (labels not listed map to the out-of-alphabet ID and are uniformly rejected); without -labels every document is decoded once to discover the alphabet")
 	order := flag.String("order", "", "comma-separated labels for a linear-order query")
 	path := flag.String("path", "", "comma-separated labels for a hierarchical path query")
 	dslFlag := flag.String("dsl", "", "semicolon-separated DSL queries (e.g. 'within book: title before author'); their labels join the alphabet")
 	queryset := flag.String("queryset", "", "serialized query bundle from `nwtool compile`: boot from it instead of compiling (-labels/-order/-path/-dsl must not be given; the bundle fixes the alphabet and the queries)")
+	dir := flag.String("dir", "", "query every regular file under this directory")
 	flag.Parse()
 
-	var in io.Reader = os.Stdin
-	if *file != "" {
-		f, err := os.Open(*file)
+	paths, err := documentPaths(*dir, flag.Args())
+	if err != nil {
+		fatal(err)
+	}
+	if len(paths) == 0 && (*dir != "" || flag.NArg() > 0) {
+		fatal(fmt.Errorf("no documents to query"))
+	}
+
+	var in io.Reader = os.Stdin // one document: streamed
+	var docs []document         // several documents: buffered for the pool
+	switch len(paths) {
+	case 0:
+	case 1:
+		f, err := os.Open(paths[0])
 		if err != nil {
 			fatal(err)
 		}
 		defer f.Close()
 		in = f
+	default:
+		for _, p := range paths {
+			docs = append(docs, readDocument(p))
+		}
 	}
 
 	eng := engine.New()
@@ -92,20 +125,30 @@ func main() {
 
 		// Without -labels the alphabet must be discovered first, which costs
 		// one buffered pass over the input; with -labels the engine consumes
-		// the reader directly and nothing proportional to the document is
-		// ever stored.
+		// the input directly and nothing proportional to a document is ever
+		// stored.
 		if *labelsFlag == "" {
-			events, err := readEvents(*format, in)
-			if err != nil {
-				fatal(err)
-			}
-			buffered = events
 			seen := map[string]bool{}
-			for _, e := range events {
-				if !seen[e.Label] {
-					seen[e.Label] = true
-					labels = append(labels, e.Label)
+			discover := func(events []docstream.Event) {
+				for _, e := range events {
+					if !seen[e.Label] {
+						seen[e.Label] = true
+						labels = append(labels, e.Label)
+					}
 				}
+			}
+			if docs == nil {
+				if buffered, err = readEvents(*format, in); err != nil {
+					fatal(err)
+				}
+				discover(buffered)
+			}
+			for _, d := range docs {
+				events, err := readEvents(*format, bytes.NewReader(d.body))
+				if err != nil {
+					fatal(fmt.Errorf("%s: %w", d.name, err))
+				}
+				discover(events)
 			}
 		}
 		alpha = alphabet.New(labels...)
@@ -123,8 +166,12 @@ func main() {
 		}
 	}
 
+	if docs != nil {
+		serveAll(eng, *format, docs)
+		return
+	}
+
 	var res *engine.Result
-	var err error
 	var unknown *unknownLabelSource
 	if buffered != nil {
 		res, err = eng.RunEvents(buffered)
@@ -159,6 +206,105 @@ func main() {
 		fmt.Printf("%-30s : %v\n", name, res.Verdicts[i])
 	}
 	unknown.report(os.Stderr)
+}
+
+// document is one unit of a multi-document run: a display name (the
+// routing key under hash affinity) and the raw bytes.
+type document struct {
+	name string
+	body []byte
+}
+
+// documentPaths lists the explicit file arguments followed by every regular
+// file under dir.
+func documentPaths(dir string, files []string) ([]string, error) {
+	paths := append([]string(nil), files...)
+	if dir == "" {
+		return paths, nil
+	}
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() {
+			paths = append(paths, path)
+		}
+		return err
+	})
+	return paths, err
+}
+
+func readDocument(path string) document {
+	body, err := os.ReadFile(path)
+	if err != nil {
+		fatal(err)
+	}
+	return document{name: path, body: body}
+}
+
+// serveAll runs every document through a sharded pool with its default
+// settings, aggregating the verdicts on the shard workers through the
+// result callback, and reports the accept counts and the throughput.
+func serveAll(eng *engine.Engine, format string, docs []document) {
+	var mu sync.Mutex
+	accepted := make([]int, eng.Len())
+	var failures []string
+	pool, err := serve.NewPool(eng, serve.WithOnResult(func(r serve.Result) {
+		mu.Lock()
+		defer mu.Unlock()
+		if r.Err != nil {
+			failures = append(failures, fmt.Sprintf("%s: %v", r.ID, r.Err))
+			return
+		}
+		for i, v := range r.Engine.Verdicts {
+			if v {
+				accepted[i]++
+			}
+		}
+	}))
+	if err != nil {
+		fatal(err)
+	}
+
+	ctx := context.Background()
+	start := time.Now()
+	for _, d := range docs {
+		if format != "" {
+			// Adapter formats: the shard worker drives the adapter (one per
+			// document) interned against the serving alphabet.
+			src, err := adapter.New(format, bytes.NewReader(d.body), eng.Alphabet())
+			if err == nil {
+				_, err = pool.SubmitSource(ctx, d.name, src)
+			}
+			if err != nil {
+				fatal(err)
+			}
+			continue
+		}
+		if _, err := pool.Submit(ctx, d.name, bytes.NewReader(d.body)); err != nil {
+			fatal(err)
+		}
+	}
+	if err := pool.Close(); err != nil {
+		fatal(err)
+	}
+	elapsed := time.Since(start)
+
+	st := pool.Stats()
+	fmt.Printf("served %d documents (%d events) on %d shards (affinity %s) in %v\n",
+		st.Served, st.Events, pool.Shards(), pool.Affinity(), elapsed.Round(time.Microsecond))
+	if secs := elapsed.Seconds(); secs > 0 {
+		fmt.Printf("throughput: %.0f docs/s, %.2f Mev/s\n",
+			float64(st.Served)/secs, float64(st.Events)/secs/1e6)
+	}
+	for i, name := range eng.Names() {
+		fmt.Printf("%-30s : %d/%d documents\n", name, accepted[i], st.Served-st.Failed)
+	}
+	if len(failures) > 0 {
+		sort.Strings(failures)
+		fmt.Fprintf(os.Stderr, "nwquery: %d documents failed:\n", len(failures))
+		for _, f := range failures {
+			fmt.Fprintln(os.Stderr, "  "+f)
+		}
+		os.Exit(1)
+	}
 }
 
 // unknownLabelSource passes pre-interned events through while tallying, per
@@ -219,20 +365,16 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-func readAll(r io.Reader) string {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		fatal(err)
-	}
-	return string(data)
-}
-
-// readEvents buffers the whole input as uninterned events — through the
+// readEvents buffers a whole document as uninterned events — through the
 // named adapter, or the native tokenizer when format is empty — for the
-// alphabet-discovery path.
+// alphabet-discovery pass.
 func readEvents(format string, in io.Reader) ([]docstream.Event, error) {
 	if format == "" {
-		return docstream.Tokenize(readAll(in))
+		data, err := io.ReadAll(in)
+		if err != nil {
+			return nil, err
+		}
+		return docstream.Tokenize(string(data))
 	}
 	src, err := adapter.New(format, in, nil)
 	if err != nil {

@@ -1,7 +1,7 @@
 // Command nwserved is the long-running HTTP serving daemon: it boots a
 // sharded serve.Pool from a serialized query bundle and answers per-query
-// verdicts over HTTP — the network-facing counterpart of cmd/nwserve's
-// batch run.
+// verdicts over HTTP — the network-facing counterpart of cmd/nwquery's
+// multi-document run.
 //
 // Usage:
 //
@@ -48,7 +48,6 @@
 //	GET  /v1/status             active bundle identity (the schema `nwtool
 //	                            bundle -json` prints), pool shape, counters.
 //	GET  /metrics               Prometheus text exposition.
-//	GET  /debug/vars            expvar JSON (includes the "nwserved" var).
 //
 // The bundle is re-opened from the same -queryset path on every reload, so
 // a deploy is: write the new bundle (atomically, e.g. rename into place),
@@ -119,7 +118,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	srv.PublishExpvar("nwserved")
 
 	httpSrv := &http.Server{
 		Addr:              *addr,

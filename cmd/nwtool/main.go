@@ -12,7 +12,7 @@
 //	                                run the //LABEL1//LABEL2... path query
 //	nwtool compile -labels l1,l2 [-order ...] [-path ...] [-dsl QUERIES] [-plan] -o FILE
 //	                                compile the query set once and write a
-//	                                serialized bundle; nwquery and nwserve
+//	                                serialized bundle; nwquery and nwserved
 //	                                boot from it with -queryset FILE; -dsl
 //	                                adds textual queries (see
 //	                                internal/query/dsl) to the set; -plan
@@ -43,8 +43,8 @@
 // worker (and automatically in nwserved -pubkey) before a bundle is
 // mapped.
 //
-// The compile subcommand builds exactly the query set nwquery and nwserve
-// build from the same -labels/-order/-path flags (well-formedness always,
+// The compile subcommand builds exactly the query set nwquery builds
+// from the same -labels/-order/-path flags (well-formedness always,
 // the order and path queries when given) over the alphabet the flags
 // determine, so a bundle-booted server answers with verdicts identical to
 // in-process compilation.
@@ -129,8 +129,8 @@ func main() {
 }
 
 // compileBundle compiles the standard CLI query set — plus any DSL-authored
-// queries — once and writes it as a serialized bundle that nwquery/nwserve
-// boot from with -queryset.
+// queries — once and writes it as a serialized bundle that nwquery and
+// nwserved boot from with -queryset.
 func compileBundle(args []string) {
 	fs := flag.NewFlagSet("nwtool compile", flag.ExitOnError)
 	labelsFlag := fs.String("labels", "", "comma-separated document alphabet (labels outside it map to the out-of-alphabet ID at serving time)")

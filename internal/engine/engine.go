@@ -6,11 +6,14 @@
 // the document depth.  This package lifts that claim from one query to N,
 // and from deterministic automata to nondeterministic ones: an Engine holds
 // N registered query.Query values — compiled DNWAs (query.Compile) and
-// compiled NNWAs (query.CompileN) side by side — and a Session holds one
-// query.Runner per query.  Events read from the source are interned once
-// against the engine's shared alphabet and fanned out to every runner in
-// fixed-size batches, so each query observes the same single pass, no runner
-// ever hashes a label, and the stream is never materialized; total memory is
+// compiled NNWAs (query.CompileN) side by side.  Every registration is a
+// product group: a solo query is the 1-member product of Section 3.2
+// (query.SoloProduct, sharing the query's tables), a planned bundle's
+// cluster a wider one, and a Session holds one query.ProductRunner per
+// group.  Events read from the source are interned once against the
+// engine's shared alphabet and fanned out to every runner in fixed-size
+// batches, so each query observes the same single pass, no runner ever
+// hashes a label, and the stream is never materialized; total memory is
 // O(depth · N) plus one constant-size batch buffer, independent of the
 // document length.
 //
@@ -24,7 +27,6 @@ package engine
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"sync"
 
 	"repro/internal/alphabet"
@@ -46,64 +48,35 @@ type EventSource interface {
 // Register / RegisterQuery / RegisterBundle, then call Run (safe for
 // concurrent use) for each document.
 //
-// Registering a planned bundle (see internal/query/plan) dispatches each
-// product-compiled cluster to one shared ProductRunner whose verdict
-// bitmask is demuxed back to the member names — Result.Verdicts, Names,
-// and name lookup are indistinguishable from per-query fan-out.
+// Every registered query is answered by a product group whose verdict
+// bitmask is demuxed back to the member names: a solo query by its own
+// 1-member group, a planned bundle's cluster by one shared ProductRunner —
+// Result.Verdicts, Names, and name lookup are indistinguishable from
+// per-query fan-out.
 type Engine struct {
-	names   []string
-	byName  map[string]int
-	queries []query.Query // parallel to names; nil where a product group answers
-	solo    []int         // verdict indices with their own runner, in order
-	groups  []engineGroup
-	alpha   *alphabet.Alphabet // shared by every registered query
-
-	batchSize int
-	workers   int
+	names  []string
+	byName map[string]int
+	groups []engineGroup
+	alpha  *alphabet.Alphabet // shared by every registered query
 
 	pool sync.Pool // *Session
 }
 
-// engineGroup is one registered product cluster: the shared automaton plus
-// the verdict slots its mask bits demux to.
+// engineGroup is one registered product: the shared automaton plus the
+// verdict slots its mask bits demux to.
 type engineGroup struct {
 	indices []int // verdict slots, mask-bit order
 	product *query.CompiledProduct
 }
 
-// Option configures an Engine.
-type Option func(*Engine)
-
-// WithBatchSize sets how many events are read from the source before being
-// fanned out to the runners (default 1024).  Larger batches amortize the
-// per-batch bookkeeping; the buffer stays constant-size either way.
-func WithBatchSize(n int) Option {
-	return func(e *Engine) {
-		if n > 0 {
-			e.batchSize = n
-		}
-	}
-}
-
-// WithWorkers sets how many goroutines share the runners during fan-out
-// (default 1, i.e. sequential).  Runners are independent, so each batch can
-// be applied to disjoint runner subsets in parallel; this pays off once the
-// per-event automaton work dominates the per-batch synchronization, e.g.
-// for many queries with large automata or nondeterministic runners.
-func WithWorkers(n int) Option {
-	return func(e *Engine) {
-		if n > 0 {
-			e.workers = n
-		}
-	}
-}
+// batchSize is how many events a session buffers before fanning them out
+// to the runners: large enough to amortize the per-batch bookkeeping, and
+// constant, so a pass's memory does not grow with the document.
+const batchSize = 1024
 
 // New creates an empty engine.
-func New(opts ...Option) *Engine {
-	e := &Engine{batchSize: 1024, workers: 1, byName: make(map[string]int)}
-	for _, o := range opts {
-		o(e)
-	}
+func New() *Engine {
+	e := &Engine{byName: make(map[string]int)}
 	e.pool.New = func() any { return e.newSession() }
 	return e
 }
@@ -117,19 +90,19 @@ func (e *Engine) RegisterQuery(name string, q query.Query) (int, error) {
 	if _, dup := e.byName[name]; dup {
 		return 0, fmt.Errorf("engine: query %q already registered", name)
 	}
-	if e.alpha == nil {
-		e.alpha = q.Alphabet()
-	} else if !e.alpha.Equal(q.Alphabet()) {
+	if e.alpha != nil && !e.alpha.Equal(q.Alphabet()) {
 		return 0, fmt.Errorf("engine: query %q uses alphabet %v, engine interns against %v",
 			name, q.Alphabet(), e.alpha)
 	}
-	idx := len(e.names)
-	e.byName[name] = idx
-	e.names = append(e.names, name)
-	e.queries = append(e.queries, q)
-	e.solo = append(e.solo, idx)
-	// Sessions created for the old query set are stale; drop them.
-	e.pool = sync.Pool{New: func() any { return e.newSession() }}
+	p, err := query.SoloProduct(q)
+	if err != nil {
+		return 0, fmt.Errorf("engine: query %q: %w", name, err)
+	}
+	if e.alpha == nil {
+		e.alpha = q.Alphabet()
+	}
+	idx := e.addName(name)
+	e.addGroup(p, idx)
 	return idx, nil
 }
 
@@ -175,31 +148,46 @@ func (e *Engine) RegisterBundle(b *query.Bundle) ([]int, error) {
 				b.Alphabet(), e.alpha)
 		}
 	}
-	base := len(e.names)
 	indices := make([]int, b.Len())
-	for i := 0; i < b.Len(); i++ {
+	for i := range indices {
 		name := b.Name(i)
 		if _, dup := e.byName[name]; dup {
 			return nil, fmt.Errorf("engine: bundle query %q: already registered", name)
 		}
-		e.byName[name] = base + i
-		e.names = append(e.names, name)
-		e.queries = append(e.queries, b.Query(i))
-		if b.Query(i) != nil {
-			e.solo = append(e.solo, base+i)
+		indices[i] = e.addName(name)
+	}
+	for i, idx := range indices {
+		if q := b.Query(i); q != nil {
+			p, err := query.SoloProduct(q)
+			if err != nil {
+				return nil, fmt.Errorf("engine: bundle query %q: %w", b.Name(i), err)
+			}
+			e.addGroup(p, idx)
 		}
-		indices[i] = base + i
 	}
 	for _, g := range b.Groups() {
-		eg := engineGroup{indices: make([]int, len(g.Indices)), product: g.Product}
+		slots := make([]int, len(g.Indices))
 		for j, bi := range g.Indices {
-			eg.indices[j] = base + int(bi)
+			slots[j] = indices[bi]
 		}
-		e.groups = append(e.groups, eg)
+		e.addGroup(g.Product, slots...)
 	}
+	return indices, nil
+}
+
+// addName appends a verdict slot under a name the caller checked is new.
+func (e *Engine) addName(name string) int {
+	idx := len(e.names)
+	e.byName[name] = idx
+	e.names = append(e.names, name)
+	return idx
+}
+
+// addGroup appends one product whose verdict bit j answers slots[j].
+func (e *Engine) addGroup(p *query.CompiledProduct, slots ...int) {
+	e.groups = append(e.groups, engineGroup{indices: slots, product: p})
 	// Sessions created for the old query set are stale; drop them.
 	e.pool = sync.Pool{New: func() any { return e.newSession() }}
-	return indices, nil
 }
 
 // Len returns the number of registered queries (product-grouped ones
@@ -223,24 +211,12 @@ type Result struct {
 	MaxDepth int
 }
 
-// stepper is the event-consuming face shared by per-query runners and
-// product runners: what the fan-out loop needs, acceptance excluded.
-type stepper interface {
-	StepCall(sym int)
-	StepInternal(sym int)
-	StepReturn(sym int)
-	Reset()
-}
-
-// Session is the reusable per-pass state: one runner per solo query, one
-// shared product runner per registered cluster, plus the shared batch
-// buffer.  Obtain one with Acquire for manual event feeding, or let Run
-// manage it.
+// Session is the reusable per-pass state: one product runner per
+// registered group plus the shared batch buffer.  Obtain one with Acquire
+// for manual event feeding, or let Run manage it.
 type Session struct {
 	engine  *Engine
-	runners []query.Runner        // parallel to engine.solo
-	prods   []query.ProductRunner // parallel to engine.groups
-	feed    []stepper             // runners then prods: the fan-out list
+	runners []query.ProductRunner // parallel to engine.groups
 	vrow    bitset.Row            // scratch: verdict demux row, widest group
 	batch   []docstream.Event
 	events  int
@@ -251,26 +227,15 @@ type Session struct {
 func (e *Engine) newSession() *Session {
 	s := &Session{
 		engine:  e,
-		runners: make([]query.Runner, len(e.solo)),
-		batch:   make([]docstream.Event, 0, e.batchSize),
-	}
-	s.feed = make([]stepper, 0, len(e.solo)+len(e.groups))
-	for i, qi := range e.solo {
-		s.runners[i] = e.queries[qi].NewRunner()
-		s.feed = append(s.feed, s.runners[i])
+		runners: make([]query.ProductRunner, len(e.groups)),
+		batch:   make([]docstream.Event, 0, batchSize),
 	}
 	maxNq := 0
-	for _, g := range e.groups {
-		pr := g.product.NewProductRunner()
-		s.prods = append(s.prods, pr)
-		s.feed = append(s.feed, pr)
-		if nq := g.product.QueryCount(); nq > maxNq {
-			maxNq = nq
-		}
+	for i, g := range e.groups {
+		s.runners[i] = g.product.NewProductRunner()
+		maxNq = max(maxNq, g.product.QueryCount())
 	}
-	if maxNq > 0 {
-		s.vrow = bitset.New(maxNq)
-	}
+	s.vrow = bitset.New(maxNq)
 	return s
 }
 
@@ -291,7 +256,7 @@ func (e *Engine) Release(s *Session) { e.pool.Put(s) }
 // Reset returns the session to the start of a new document, keeping every
 // runner and buffer allocation.  Sessions from Acquire are already reset.
 func (s *Session) Reset() {
-	for _, r := range s.feed {
+	for _, r := range s.runners {
 		r.Reset()
 	}
 	s.batch = s.batch[:0]
@@ -316,11 +281,10 @@ func (s *Session) Feed(e docstream.Event) {
 	}
 }
 
-// feedRunner replays the interned batch into one runner — per-query or
-// product, the dispatch is identical.
+// feedRunner replays the interned batch into one runner.
 //
 //nwvet:hotpath
-func feedRunner(r stepper, batch []docstream.Event) {
+func feedRunner(r query.ProductRunner, batch []docstream.Event) {
 	for _, e := range batch {
 		sym := e.Sym - 1
 		switch e.Kind {
@@ -350,34 +314,8 @@ func (s *Session) flush() {
 			}
 		}
 	}
-	w := s.engine.workers
-	if w > len(s.feed) {
-		w = len(s.feed)
-	}
-	if mp := runtime.GOMAXPROCS(0); w > mp {
-		w = mp
-	}
-	if w <= 1 {
-		for _, r := range s.feed {
-			feedRunner(r, s.batch)
-		}
-	} else {
-		var wg sync.WaitGroup
-		chunk := (len(s.feed) + w - 1) / w
-		for lo := 0; lo < len(s.feed); lo += chunk {
-			hi := lo + chunk
-			if hi > len(s.feed) {
-				hi = len(s.feed)
-			}
-			wg.Add(1)
-			go func(rs []stepper) {
-				defer wg.Done()
-				for _, r := range rs {
-					feedRunner(r, s.batch)
-				}
-			}(s.feed[lo:hi])
-		}
-		wg.Wait()
+	for _, r := range s.runners {
+		feedRunner(r, s.batch)
 	}
 	// Depth depends only on the event kinds, so it is tracked once for the
 	// whole session rather than per runner.
@@ -408,11 +346,8 @@ func (s *Session) Result() *Result {
 		Events:   s.events,
 		MaxDepth: s.max,
 	}
-	for i, r := range s.runners {
-		res.Verdicts[e.solo[i]] = r.Accepting()
-	}
-	for gi, pr := range s.prods {
-		pr.Verdicts(s.vrow)
+	for gi, r := range s.runners {
+		r.Verdicts(s.vrow)
 		for j, idx := range e.groups[gi].indices {
 			res.Verdicts[idx] = s.vrow.Has(j)
 		}

@@ -11,8 +11,10 @@ import (
 	"repro/internal/docstream"
 	"repro/internal/engine"
 	"repro/internal/generator"
+	"repro/internal/nestedword"
 	"repro/internal/nwa"
 	"repro/internal/query"
+	"repro/internal/query/plan"
 )
 
 // testQueries builds a small mixed query set over {a, b, c}.
@@ -35,7 +37,7 @@ func TestDifferentialAgainstAccepts(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	alpha := alphabet.New("a", "b", "c")
 	names, queries := testQueries(alpha)
-	eng := engine.New(engine.WithBatchSize(16)) // small batches exercise flushing
+	eng := engine.New()
 	for i, q := range queries {
 		eng.Register(names[i], q)
 	}
@@ -79,32 +81,77 @@ func TestDifferentialAgainstAccepts(t *testing.T) {
 	}
 }
 
-// TestParallelWorkersMatchSequential checks that the goroutine fan-out path
-// computes the same verdicts as the sequential path.
-func TestParallelWorkersMatchSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
+// TestBatchBoundaries pins the fixed batch's edges: documents one event
+// short of, exactly at, one past, and two batches plus one past the batch
+// size run through a mixed deterministic/nondeterministic engine and a
+// planned one, with Session.Result taken mid-stream at the same edges.
+// Every verdict must match query.RunWord on each query's own runner over
+// the same prefix.
+func TestBatchBoundaries(t *testing.T) {
+	const batch = 1024 // the engine's fixed batch size
 	alpha := alphabet.New("a", "b", "c")
-	names, queries := testQueries(alpha)
-	seq := engine.New()
-	par := engine.New(engine.WithWorkers(4), engine.WithBatchSize(64))
-	for i, q := range queries {
-		seq.Register(names[i], q)
-		par.Register(names[i], q)
+	mixed := query.NewBundle(alpha)
+	names, dets := testQueries(alpha)
+	for i, d := range dets {
+		if err := mixed.Add(names[i], query.Compile(d)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	for trial := 0; trial < 50; trial++ {
-		n := generator.RandomDocument(rng, 200, 8, []string{"a", "b", "c"})
-		a, err := seq.Run(engine.Word(n))
-		if err != nil {
+	rng := rand.New(rand.NewSource(1024))
+	for i := 0; i < 2; i++ {
+		if err := mixed.Add(fmt.Sprintf("nnwa-%d", i), query.CompileN(randomNNWA(rng, alpha, 3))); err != nil {
 			t.Fatal(err)
 		}
-		b, err := par.Run(engine.Word(n))
-		if err != nil {
+	}
+	planned, _, err := plan.Bundle(plannedTestBundle(t), plan.Options{ClusterSize: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name           string
+		bundle, oracle *query.Bundle
+	}{
+		{"solo", mixed, mixed},
+		{"planned", planned, plannedTestBundle(t)},
+	} {
+		eng := engine.New()
+		if _, err := eng.RegisterBundle(tc.bundle); err != nil {
 			t.Fatal(err)
 		}
-		for i := range a.Verdicts {
-			if a.Verdicts[i] != b.Verdicts[i] {
-				t.Fatalf("trial %d: worker fan-out disagrees on %s", trial, names[i])
+		check := func(what string, got []bool, n *nestedword.NestedWord) {
+			t.Helper()
+			for q := range got {
+				want := query.RunWord(tc.oracle.Query(q).NewRunner(), alpha, n)
+				if got[q] != want {
+					t.Fatalf("%s, %s: query %q = %v, RunWord %v", tc.name, what, eng.Names()[q], got[q], want)
+				}
 			}
+		}
+		for _, size := range []int{batch - 1, batch, batch + 1, 2*batch + 1} {
+			n := generator.RandomNestedWord(rng, size, []string{"a", "b", "c", "zz"})
+			s := eng.Acquire()
+			for i := 0; i < n.Len(); i++ {
+				s.Feed(docstream.Event{Kind: n.KindAt(i), Label: n.SymbolAt(i)})
+				switch k := i + 1; k {
+				case batch - 1, batch, batch + 1:
+					res := s.Result()
+					if res.Events != k {
+						t.Fatalf("%s, size %d: mid-stream Result counts %d events, want %d", tc.name, size, res.Events, k)
+					}
+					check(fmt.Sprintf("size %d, prefix %d", size, k), res.Verdicts, n.Prefix(i))
+				}
+			}
+			res := s.Result()
+			eng.Release(s)
+			if res.Events != size {
+				t.Fatalf("%s, size %d: Result counts %d events", tc.name, size, res.Events)
+			}
+			check(fmt.Sprintf("size %d", size), res.Verdicts, n)
+			ran, err := eng.Run(engine.Word(n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("size %d, Run", size), ran.Verdicts, n)
 		}
 	}
 }
@@ -251,7 +298,7 @@ func randomNNWA(rng *rand.Rand, alpha *alphabet.Alphabet, states int) *nwa.NNWA 
 func TestNNWAQueriesInEngine(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	alpha := alphabet.New("a", "b")
-	eng := engine.New(engine.WithBatchSize(32))
+	eng := engine.New()
 	const automata = 4
 	for i := 0; i < automata; i++ {
 		a := randomNNWA(rng, alpha, 2+rng.Intn(3))

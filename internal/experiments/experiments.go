@@ -1143,7 +1143,7 @@ func e25Boot(boot func() *engine.Engine) (*engine.Engine, time.Duration) {
 // bundle artifact from memory (query.UnmarshalBundle, copying the tables)
 // or to open the artifact file end to end (query.OpenBundle: open, mmap
 // where available, zero-copy validation with the tables aliasing the
-// mapped pages — exactly what `nwserve -queryset` pays, page faults
+// mapped pages — exactly what `nwquery -queryset` pays, page faults
 // included).  The bundle is built and written once outside the timed
 // region, as `nwtool compile` writes it once for a whole fleet.  Every
 // booted engine must answer a generated document with identical verdicts;

@@ -27,9 +27,8 @@ import (
 // deterministic ones; the runners simulate the automaton on line with the
 // subset-of-pairs construction of Section 3.2, keeping one summary set per
 // stack frame.  NewRunner returns the bitset runner; the older []bool
-// matrix runner is kept behind NewReferenceRunner (and the package-level
-// useMatrixRunner flag) as the differential-testing oracle and the E24
-// baseline.
+// matrix runner is kept behind NewReferenceRunner as the
+// differential-testing oracle and the E24 baseline.
 type CompiledN struct {
 	alpha  *alphabet.Alphabet
 	num    int
@@ -65,15 +64,6 @@ type CompiledN struct {
 	// (0 for a freshly compiled one); Marshal re-emits it.
 	fmtVersion uint32
 }
-
-// useMatrixRunner routes NewRunner to the []bool matrix runner instead of
-// the bitset runner.  Unexported and toggled only by this package's own
-// sequential tests (it is a plain global, so it must never be flipped while
-// runners are being minted concurrently): it pins the routing that every
-// NewRunner caller — engine sessions and serve pools included — would take
-// if the reference implementation had to be swapped back in.  Callers that
-// explicitly want the baseline use NewReferenceRunner instead.
-var useMatrixRunner = false
 
 // CompileN flattens a nondeterministic NWA into its compiled form.  Like
 // Compile, the result is immutable and safe for concurrent use.
@@ -280,15 +270,9 @@ func (c *CompiledN) returnSucc(lin, hier int32, sym int) []int32 {
 	return nil
 }
 
-// NewRunner returns a fresh nondeterministic state-set runner — the bitset
-// implementation, unless the package-internal differential-testing flag
-// redirects to the reference matrix runner.
-func (c *CompiledN) NewRunner() Runner {
-	if useMatrixRunner {
-		return c.NewReferenceRunner()
-	}
-	return c.newBitsetRunner()
-}
+// NewRunner returns a fresh nondeterministic state-set runner, the bitset
+// implementation.
+func (c *CompiledN) NewRunner() Runner { return c.newBitsetRunner() }
 
 // newBitsetRunner mints the concrete bitset runner; split from NewRunner so
 // the product layer's joint runner can hold it without the interface hop.

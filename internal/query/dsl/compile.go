@@ -41,8 +41,8 @@ func Compile(e Expr, alpha *alphabet.Alphabet) (query.Query, error) {
 
 // Queries compiles several expressions under their canonical display names
 // — the DSL counterpart of query.StandardSet, and like it the single
-// definition both the bundle compiler (nwtool) and the in-process tools
-// (nwquery, nwserve) share, so a bundle-booted server and an in-process one
+// definition both the bundle compiler (nwtool) and the in-process tool
+// (nwquery) share, so a bundle-booted server and an in-process one
 // answer identically for the same -dsl string.
 func Queries(alpha *alphabet.Alphabet, exprs []Expr) (names []string, queries []query.Query, err error) {
 	for _, e := range exprs {

@@ -72,10 +72,10 @@ type ProductRunner interface {
 
 // CompiledProduct is an immutable product-compiled query cluster: one
 // automaton whose accept structure is a per-query bitmask, answering
-// QueryCount member queries at once.  Build one with CompileProduct, or let
-// the planner (internal/query/plan) cluster a whole bundle; the engine
-// dispatches one ProductRunner per cluster and demuxes the verdict mask back
-// to the member names.
+// QueryCount member queries at once.  Build one with CompileProduct, wrap
+// one query with SoloProduct, or let the planner (internal/query/plan)
+// cluster a whole bundle; the engine dispatches one ProductRunner per
+// product and demuxes the verdict mask back to the member names.
 type CompiledProduct struct {
 	inner Query // *Compiled (deterministic product) or *CompiledN (joint union)
 	nq    int   // member query count
@@ -124,11 +124,35 @@ func (p *CompiledProduct) Deterministic() bool {
 func (p *CompiledProduct) NewProductRunner() ProductRunner {
 	switch c := p.inner.(type) {
 	case *Compiled:
-		return &detProductRunner{p: p, c: c, state: c.start}
+		return &detProductRunner{dnwaRunner: dnwaRunner{c: c, state: c.start}, p: p}
 	case *CompiledN:
-		return &jointProductRunner{p: p, r: c.newBitsetRunner()}
+		return &jointProductRunner{nnwaBitsetRunner: c.newBitsetRunner(), p: p}
 	}
 	return nil
+}
+
+// SoloProduct wraps one compiled query as a 1-member product, the 1-fold
+// case of the Section 3.2 product, so a single query runs through the same
+// ProductRunner as a planned cluster.  Unlike CompileProduct it builds no
+// tables: the product shares the member's automaton as-is — possibly
+// aliasing a mapped bundle — and adds only its O(states) accept mask (one
+// word per state for a *Compiled, a copy of the accepting-state row for a
+// *CompiledN).  Any other Query type is rejected.
+func SoloProduct(q Query) (*CompiledProduct, error) {
+	switch c := q.(type) {
+	case *Compiled:
+		mask := make([]uint64, c.num)
+		for s, ok := range c.accept {
+			if ok {
+				mask[s] = 1
+			}
+		}
+		return &CompiledProduct{inner: c, nq: 1, mask: mask, maskW: 1}, nil
+	case *CompiledN:
+		mask := append([]uint64(nil), c.acceptRow...)
+		return &CompiledProduct{inner: c, nq: 1, mask: mask, maskW: c.w}, nil
+	}
+	return nil, fmt.Errorf("query: cannot run %T as a product (want *Compiled or *CompiledN)", q)
 }
 
 // CompileProduct compiles a cluster of member queries over one shared
@@ -544,38 +568,12 @@ func compileJointProduct(ms []*CompiledN, budget int) (*CompiledProduct, error) 
 
 // --- runners -------------------------------------------------------------
 
-// detProductRunner steps the deterministic product exactly like the
-// single-query dnwaRunner — two or three indexed loads per event — and reads
-// all member verdicts off the current state's accept-mask row.
+// detProductRunner is the single-query dnwaRunner stepping the product's
+// shared automaton — two or three indexed loads per event — plus a Verdicts
+// that reads all member verdicts off the current state's accept-mask row.
 type detProductRunner struct {
-	p     *CompiledProduct
-	c     *Compiled
-	state int32
-	stack []int32
-}
-
-//nwvet:hotpath
-func (r *detProductRunner) StepCall(sym int) {
-	c := r.c
-	i := int(r.state)*c.syms + clampSym(sym, c.syms)
-	r.stack = append(r.stack, c.callHier[i])
-	r.state = c.callLin[i]
-}
-
-//nwvet:hotpath
-func (r *detProductRunner) StepInternal(sym int) {
-	c := r.c
-	r.state = c.internT[int(r.state)*c.syms+clampSym(sym, c.syms)]
-}
-
-//nwvet:hotpath
-func (r *detProductRunner) StepReturn(sym int) {
-	hier := r.c.start
-	if n := len(r.stack); n > 0 {
-		hier = r.stack[n-1]
-		r.stack = r.stack[:n-1]
-	}
-	r.state = r.c.stepReturn(r.state, hier, clampSym(sym, r.c.syms))
+	dnwaRunner
+	p *CompiledProduct
 }
 
 //nwvet:hotpath
@@ -584,36 +582,20 @@ func (r *detProductRunner) Verdicts(dst bitset.Row) {
 	dst.Or(bitset.Slab(r.p.mask, int(r.state), r.p.maskW))
 }
 
-func (r *detProductRunner) Reset() {
-	r.state = r.c.start
-	r.stack = r.stack[:0]
-}
-
-// jointProductRunner drives one bitset state-set runner over the member
-// union; verdict j is "does the reachable set meet member j's accepting
-// states" — one Intersects sweep per member.
+// jointProductRunner is the bitset state-set runner stepping the member
+// union, plus a Verdicts where verdict j is "does the reachable set meet
+// member j's accepting states" — one Intersects sweep per member.
 type jointProductRunner struct {
+	*nnwaBitsetRunner
 	p *CompiledProduct
-	r *nnwaBitsetRunner
 }
-
-//nwvet:hotpath
-func (j *jointProductRunner) StepCall(sym int) { j.r.StepCall(sym) }
-
-//nwvet:hotpath
-func (j *jointProductRunner) StepInternal(sym int) { j.r.StepInternal(sym) }
-
-//nwvet:hotpath
-func (j *jointProductRunner) StepReturn(sym int) { j.r.StepReturn(sym) }
 
 //nwvet:hotpath
 func (j *jointProductRunner) Verdicts(dst bitset.Row) {
 	dst.Zero()
 	for q := 0; q < j.p.nq; q++ {
-		if j.r.R.Intersects(bitset.Slab(j.p.mask, q, j.p.maskW)) {
+		if j.R.Intersects(bitset.Slab(j.p.mask, q, j.p.maskW)) {
 			dst.Set(q)
 		}
 	}
 }
-
-func (j *jointProductRunner) Reset() { j.r.Reset() }

@@ -218,3 +218,75 @@ func TestProductSingleMemberMatchesQuery(t *testing.T) {
 		}
 	}
 }
+
+// sameBacking reports whether two slices view the same backing array from
+// the same start (two empty slices count as shared: there is nothing to copy).
+func sameBacking[T any](a, b []T) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// TestSoloProduct pins SoloProduct's zero-copy contract on both compiled
+// forms, decoded zero-copy from a bundle as a served query set would be:
+// the 1-member product steps the member's own tables (same backing
+// arrays), owns only its accept mask, reports the member's verdict on
+// every word, and foreign Query types are refused.
+func TestSoloProduct(t *testing.T) {
+	loaded, err := LoadBundleMapped(goldenBundle(t).Marshal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(4242))
+	words, _ := randomWords(rng, 300, []string{"a", "b", "x"})
+	dst := bitset.New(1)
+	for i := 0; i < loaded.Len(); i++ {
+		q := loaded.Query(i)
+		p, err := SoloProduct(q)
+		if err != nil {
+			t.Fatalf("%s: %v", loaded.Name(i), err)
+		}
+		if p.QueryCount() != 1 || p.inner != q {
+			t.Fatalf("%s: product of %d over %p, want 1 over the member %p", loaded.Name(i), p.QueryCount(), p.inner, q)
+		}
+		switch c := q.(type) {
+		case *Compiled:
+			pc := p.inner.(*Compiled)
+			if !sameBacking(pc.callLin, c.callLin) || !sameBacking(pc.callHier, c.callHier) ||
+				!sameBacking(pc.internT, c.internT) || !sameBacking(pc.returnT, c.returnT) ||
+				!sameBacking(pc.accept, c.accept) {
+				t.Fatalf("%s: deterministic tables were copied", loaded.Name(i))
+			}
+			if p.maskW != 1 || len(p.mask) != c.num {
+				t.Fatalf("%s: mask holds %d words of width %d, want one word per state (%d)",
+					loaded.Name(i), len(p.mask), p.maskW, c.num)
+			}
+			for s, ok := range c.accept {
+				if (p.mask[s] == 1) != ok {
+					t.Fatalf("%s: mask word %d = %d, accept = %v", loaded.Name(i), s, p.mask[s], ok)
+				}
+			}
+		case *CompiledN:
+			pn := p.inner.(*CompiledN)
+			if !sameBacking(pn.callOff, c.callOff) || !sameBacking(pn.intTo, c.intTo) ||
+				!sameBacking(pn.retTo, c.retTo) || !sameBacking(pn.intMask, c.intMask) ||
+				!sameBacking(pn.callMask, c.callMask) {
+				t.Fatalf("%s: nondeterministic tables were copied", loaded.Name(i))
+			}
+			if !bitset.Row(p.mask).Equal(c.acceptRow) || sameBacking(p.mask, c.acceptRow) || p.maskW != c.w {
+				t.Fatalf("%s: mask is not a private copy of the accepting-state row", loaded.Name(i))
+			}
+		default:
+			t.Fatalf("%s: unexpected member type %T", loaded.Name(i), q)
+		}
+		pr, r := p.NewProductRunner(), q.NewRunner()
+		for wi, w := range words {
+			runProductWord(pr, loaded.Alphabet(), w, dst)
+			if got, want := dst.Has(0), RunWord(r, loaded.Alphabet(), w); got != want {
+				t.Fatalf("%s, word %d: 1-member product %v, member runner %v on %v", loaded.Name(i), wi, got, want, w)
+			}
+		}
+	}
+	c := loaded.Query(2).(*CompiledN)
+	if _, err := SoloProduct(referenceQuery{c}); err == nil {
+		t.Fatal("SoloProduct accepted a Query that is neither *Compiled nor *CompiledN")
+	}
+}

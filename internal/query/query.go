@@ -42,9 +42,10 @@
 // the compiled path against the map-backed one.
 //
 // Both compiled forms implement Query — mint a Runner per concurrent pass —
-// which is what the engine package registers and fans out: deterministic
-// runners step one state, nondeterministic ones run the subset-of-pairs
-// simulation with one summary set per stack frame.
+// which is what the engine package registers and fans out, each query as
+// the 1-member product SoloProduct builds: deterministic runners step one
+// state, nondeterministic ones run the subset-of-pairs simulation with one
+// summary set per stack frame.
 package query
 
 import (
@@ -159,7 +160,7 @@ func EvaluateAll(queries []*nwa.DNWA, doc *nestedword.NestedWord) []bool {
 
 // SplitLabels parses the comma-separated label lists of the CLI flags
 // (-labels/-order/-path), trimming whitespace and dropping empty entries.
-// nwtool compile and nwquery/nwserve must split identically — the alphabet
+// nwtool compile and nwquery must split identically — the alphabet
 // order determines the compiled symbol IDs — so the one implementation
 // lives here next to StandardSet.
 func SplitLabels(s string) []string {
@@ -176,7 +177,7 @@ func SplitLabels(s string) []string {
 // well-formedness check always, plus a linear-order query and a
 // hierarchical path query when their label lists are non-empty, each under
 // the display name the tools print.  nwtool compile serializes exactly this
-// set into a bundle, and nwquery/nwserve build the same set in process, so
+// set into a bundle, and nwquery builds the same set in process, so
 // a bundle-booted server and an in-process one answer identically for the
 // same flags.
 func StandardSet(alpha *alphabet.Alphabet, order, path []string) (names []string, queries []Query) {

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -83,7 +82,6 @@ type ShardJSON struct {
 //	                            envelope (404 when the bundle is unsigned)
 //	GET  /v1/status             bundle identity + serving counters (JSON)
 //	GET  /metrics               Prometheus text exposition
-//	GET  /debug/vars            expvar JSON
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/documents", s.handleDocument)
@@ -93,7 +91,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/bundle.sig", s.handleBundleSig)
 	mux.HandleFunc("GET /v1/status", s.handleStatus)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.Handle("GET /debug/vars", expvar.Handler())
 	return mux
 }
 

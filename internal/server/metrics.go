@@ -1,7 +1,6 @@
 package server
 
 import (
-	"expvar"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -78,19 +77,4 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // shortest representation that round-trips.
 func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// PublishExpvar publishes the server's status document under the given
-// expvar name (conventionally "nwserved"), making it part of GET
-// /debug/vars.  expvar panics on duplicate names, so this is meant to be
-// called once per process by the daemon — tests that build many Servers
-// skip it and scrape /v1/status instead.
-func (s *Server) PublishExpvar(name string) {
-	expvar.Publish(name, expvar.Func(func() any {
-		st, err := s.status()
-		if err != nil {
-			return map[string]string{"error": err.Error()}
-		}
-		return st
-	}))
 }
