@@ -14,8 +14,8 @@
 // under -dir; with neither, standard input is read as one streamed
 // document.  A single document gets one engine pass and its per-query
 // verdicts.  Several documents are served through a sharded serve.Pool (its
-// default shards, queue depth and hash affinity by document name), and the
-// report is the per-query accept counts and the throughput.
+// default shards and queue depth, routed by a hash of the document name),
+// and the report is the per-query accept counts and the throughput.
 //
 // The registered queries are well-formedness always, plus a linear-order
 // query (-order), a hierarchical path query (-path), and semicolon-separated
@@ -209,7 +209,7 @@ func main() {
 }
 
 // document is one unit of a multi-document run: a display name (the
-// routing key under hash affinity) and the raw bytes.
+// shard routing key) and the raw bytes.
 type document struct {
 	name string
 	body []byte
@@ -288,8 +288,8 @@ func serveAll(eng *engine.Engine, format string, docs []document) {
 	elapsed := time.Since(start)
 
 	st := pool.Stats()
-	fmt.Printf("served %d documents (%d events) on %d shards (affinity %s) in %v\n",
-		st.Served, st.Events, pool.Shards(), pool.Affinity(), elapsed.Round(time.Microsecond))
+	fmt.Printf("served %d documents (%d events) on %d shards in %v\n",
+		st.Served, st.Events, pool.Shards(), elapsed.Round(time.Microsecond))
 	if secs := elapsed.Seconds(); secs > 0 {
 		fmt.Printf("throughput: %.0f docs/s, %.2f Mev/s\n",
 			float64(st.Served)/secs, float64(st.Events)/secs/1e6)

@@ -7,7 +7,7 @@
 //
 //	nwserved -queryset queries.nwq | -queryset-url http://peer:8417/v1/bundle
 //	         [-addr :8417] [-cache-dir DIR] [-pubkey NAME.pub]
-//	         [-shards n] [-queue n] [-affinity hash|none]
+//	         [-shards n] [-queue n]
 //	         [-max-body bytes]
 //
 // Exactly one of -queryset (a local bundle file) and -queryset-url (a
@@ -68,7 +68,6 @@ import (
 	"time"
 
 	"repro/internal/bundlecache"
-	"repro/internal/serve"
 	"repro/internal/server"
 )
 
@@ -80,19 +79,15 @@ func main() {
 	pubkeyPath := flag.String("pubkey", "", "NWP1 public key file (nwtool keygen); when set, every loaded bundle must carry a valid detached signature")
 	shards := flag.Int("shards", runtime.GOMAXPROCS(0), "number of pool shards (worker sessions)")
 	queue := flag.Int("queue", 64, "bounded queue depth per shard (backpressure)")
-	affinityFlag := flag.String("affinity", "hash", "document-to-shard routing: hash (by document id) or none (round-robin)")
 	maxBody := flag.Int64("max-body", 8<<20, "maximum single-document body size in bytes")
 	flag.Parse()
 
 	if (*queryset == "") == (*querysetURL == "") {
 		fatal(errors.New("exactly one of -queryset (compile one with `nwtool compile`) and -queryset-url is required"))
 	}
-	affinity, err := serve.ParseAffinity(*affinityFlag)
-	if err != nil {
-		fatal(err)
-	}
 	var pubkey []byte
 	if *pubkeyPath != "" {
+		var err error
 		if pubkey, err = os.ReadFile(*pubkeyPath); err != nil {
 			fatal(err)
 		}
@@ -102,7 +97,6 @@ func main() {
 		PublicKey:    pubkey,
 		Shards:       *shards,
 		QueueDepth:   *queue,
-		Affinity:     affinity,
 		MaxBodyBytes: *maxBody,
 	}
 	if *querysetURL != "" {
@@ -152,8 +146,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Fprintf(os.Stderr, "nwserved: serving %s (%d queries over %d symbols) on %s, %d shards (affinity %s)\n",
-		info.Path, len(info.Bundle.Queries), info.Bundle.AlphabetSize, *addr, *shards, affinity)
+	fmt.Fprintf(os.Stderr, "nwserved: serving %s (%d queries over %d symbols) on %s, %d shards\n",
+		info.Path, len(info.Bundle.Queries), info.Bundle.AlphabetSize, *addr, *shards)
 
 	if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fatal(err)

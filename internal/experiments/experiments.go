@@ -920,7 +920,7 @@ func E23ShardedServing(docs, size int) Table {
 			futures := make([]*serve.Future, docs)
 			t0 := time.Now()
 			for d := range corpus {
-				futures[d], err = pool.SubmitEvents(context.Background(), fmt.Sprintf("doc-%d", d), corpus[d])
+				futures[d], err = pool.SubmitSource(context.Background(), fmt.Sprintf("doc-%d", d), engine.Events(corpus[d]))
 				if err != nil {
 					panic(err)
 				}

@@ -140,8 +140,7 @@ func CompileN(n *nwa.NNWA) *CompiledN {
 	// Per-symbol successor bitmasks, precomputed once so every runner's
 	// internal and call steps are pure Gather sweeps.
 	c.w = bitset.Words(num)
-	c.startRow = packStateRow(num, c.starts)
-	c.acceptRow = packAcceptRow(c.accept)
+	c.packRows()
 	c.intMask = make([]uint64, syms*num*c.w)
 	c.callMask = make([]uint64, syms*num*c.w)
 	n.EachInternal(func(state, sym, to int) {
@@ -189,9 +188,16 @@ func buildReturnSpans(entries []sparseEntry) (keys []uint64, span, to []int32) {
 	return keys, span, to
 }
 
+// packRows builds the start and accept rows from the starts list and the
+// accept table — shared by CompileN, the product union builder, and the
+// decode path, which calls it only once the validator has checked every
+// start state against num.
+func (c *CompiledN) packRows() {
+	c.startRow, c.acceptRow = packStateRow(c.num, c.starts), packAcceptRow(c.accept)
+}
+
 // packStateRow packs a list of state IDs into a fresh bitset row over num
-// states — the start-row construction shared by CompileN, the serialized
-// decode path, and the product union builder.
+// states.
 func packStateRow(num int, states []int32) bitset.Row {
 	r := bitset.New(num)
 	for _, q := range states {
@@ -200,8 +206,7 @@ func packStateRow(num int, states []int32) bitset.Row {
 	return r
 }
 
-// packAcceptRow packs a []bool accept vector into a fresh bitset row — the
-// accept-row construction shared with packStateRow's call sites.
+// packAcceptRow packs a []bool accept vector into a fresh bitset row.
 func packAcceptRow(accept []bool) bitset.Row {
 	r := bitset.New(len(accept))
 	for q, ok := range accept {

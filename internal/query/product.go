@@ -540,8 +540,7 @@ func compileJointProduct(ms []*CompiledN, budget int) (*CompiledProduct, error) 
 	// Bitset layout: the per-symbol successor masks, the start/accept rows,
 	// and the per-member accept-mask slab all share the union width.
 	u.w = bitset.Words(num)
-	u.startRow = packStateRow(num, u.starts)
-	u.acceptRow = packAcceptRow(u.accept)
+	u.packRows()
 	u.intMask = make([]uint64, syms*num*u.w)
 	u.callMask = make([]uint64, syms*num*u.w)
 	mask := make([]uint64, k*u.w)

@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/alphabet"
@@ -35,10 +36,18 @@ import (
 // file read-only (mmap where available) and loads zero-copy — the cold-boot
 // path experiment E25 measures against parse+compile.
 //
-// Every decode path validates the tables before a runner can touch them —
-// lengths against num/syms, targets against the state range, offsets
-// monotonic, sparse keys strictly ascending, mask bits beyond the state
-// range clear — so arbitrary bytes fail with an error rather than a panic,
+// Every decode path reads a container's sections into its struct and then
+// runs that form's validator — (*Compiled).validate, (*CompiledN).validate,
+// (*CompiledProduct).validate, and (*Bundle).checkCover for a bundle's demux
+// table — before a runner can touch the tables: lengths against num/syms,
+// targets against the state range, offsets monotonic, sparse keys strictly
+// ascending inside the return index, mask bits beyond the state range
+// clear, every bundle name answered exactly once.  nwtool vet runs the same
+// validators, so there is one statement of each rule.  The decoder itself
+// keeps only what a struct cannot express: section presence, meta lengths,
+// meta values too large for their field, accept bytes other than 0/1, and
+// the solo-index bound and repeat check a planned bundle needs before it
+// fills a slot.  Arbitrary bytes fail with an error rather than a panic,
 // and no allocation is sized by attacker-controlled fields beyond the input
 // length.
 
@@ -188,6 +197,7 @@ type decodeState struct {
 	r        *format.Reader
 	alpha    *alphabet.Alphabet
 	zeroCopy bool
+	err      error // first failure of readInt32s/readUint64s
 }
 
 func (d *decodeState) section(tag uint32, what string) ([]byte, error) {
@@ -210,6 +220,21 @@ func (d *decodeState) int32s(tag uint32, what string) ([]int32, error) {
 	return v, nil
 }
 
+// readInt32s reads an int32 section into dst unless an earlier read of the
+// run failed; the first failure sticks in d.err.
+func (d *decodeState) readInt32s(dst *[]int32, tag uint32, what string) {
+	if d.err == nil {
+		*dst, d.err = d.int32s(tag, what)
+	}
+}
+
+// readUint64s is readInt32s for uint64 sections.
+func (d *decodeState) readUint64s(dst *[]uint64, tag uint32, what string) {
+	if d.err == nil {
+		*dst, d.err = d.uint64s(tag, what)
+	}
+}
+
 func (d *decodeState) uint64s(tag uint32, what string) ([]uint64, error) {
 	b, err := d.section(tag, what)
 	if err != nil {
@@ -223,9 +248,9 @@ func (d *decodeState) uint64s(tag uint32, what string) ([]uint64, error) {
 }
 
 // loadAlphabet reads the container's own alphabet section when no shared
-// alphabet was supplied.  Product containers call it before decoding their
-// embedded automaton (whose symbol count is not yet known); resolveAlphabet
-// adds the size check once it is.
+// alphabet was supplied.  Product containers call it before reading their
+// embedded automaton, which shares it; the validators check its size
+// against the symbol column count.
 func (d *decodeState) loadAlphabet() error {
 	if d.alpha != nil {
 		return nil
@@ -246,30 +271,15 @@ func (d *decodeState) loadAlphabet() error {
 	return nil
 }
 
-// resolveAlphabet returns the shared alphabet, or reads the blob's own
-// alphabet section, and checks it against the serialized symbol count.
-func (d *decodeState) resolveAlphabet(syms int) error {
-	if err := d.loadAlphabet(); err != nil {
-		return err
-	}
-	if d.alpha.Size()+1 != syms {
-		return fmt.Errorf("query: automaton compiled over %d symbols, alphabet has %d",
-			syms-1, d.alpha.Size())
-	}
-	return nil
-}
-
 // decodeAccept reads the per-state accept bytes (always copied — []bool
-// cannot alias arbitrary bytes safely).
-func (d *decodeState) decodeAccept(num int) ([]bool, error) {
+// cannot alias arbitrary bytes safely).  Only 0 and 1 are bytes a []bool
+// can hold; the count is the validator's to check.
+func (d *decodeState) decodeAccept() ([]bool, error) {
 	b, err := d.section(secAccept, "accept")
 	if err != nil {
 		return nil, err
 	}
-	if len(b) != num {
-		return nil, fmt.Errorf("query: accept section holds %d states, automaton has %d", len(b), num)
-	}
-	accept := make([]bool, num)
+	accept := make([]bool, len(b))
 	for i, x := range b {
 		if x > 1 {
 			return nil, fmt.Errorf("query: accept byte %d is %d, want 0 or 1", i, x)
@@ -277,6 +287,63 @@ func (d *decodeState) decodeAccept(num int) ([]bool, error) {
 		accept[i] = x == 1
 	}
 	return accept, nil
+}
+
+// decodeMeta reads the meta section, which must hold at least n values, and
+// refuses any of its first fields values that would not fit the int32-sized
+// struct fields they fill.
+func (d *decodeState) decodeMeta(what string, n, fields int) ([]uint64, error) {
+	meta, err := d.uint64s(secMeta, "meta")
+	if err != nil {
+		return nil, err
+	}
+	if len(meta) < n {
+		return nil, fmt.Errorf("query: %s meta section holds %d values, want %d", what, len(meta), n)
+	}
+	for i, v := range meta[:fields] {
+		if v > math.MaxInt32 {
+			return nil, fmt.Errorf("query: %s meta value %d is %d, beyond its field", what, i, v)
+		}
+	}
+	return meta, nil
+}
+
+// --- structural validation ----------------------------------------------
+//
+// Each compiled form has one validator, the single statement of what makes
+// its tables a nested-word automaton in the sense of Section 3: transition
+// functions total over num states and |Σ|+1 symbol columns, every call,
+// internal and return target a state.  The decoder runs it on every loaded
+// container and nwtool vet on every in-memory object, so a validator never
+// panics on any struct contents: it checks each range and length before it
+// indexes anything.
+
+// checkAlphabet verifies the alphabet matches the symbol column count (the
+// alphabet plus the out-of-alphabet column).
+func checkAlphabet(alpha *alphabet.Alphabet, syms int) error {
+	if alpha == nil {
+		return fmt.Errorf("query: automaton has no alphabet")
+	}
+	if alpha.Size()+1 != syms {
+		return fmt.Errorf("query: automaton compiled over %d symbols, alphabet has %d", syms-1, alpha.Size())
+	}
+	return nil
+}
+
+// checkDims verifies the state and symbol-column counts and returns the
+// transition cell count num×syms.
+func checkDims(num, syms int) (int, error) {
+	if num < 1 || num > maxStates {
+		return 0, fmt.Errorf("query: %d states outside [1, %d]", num, maxStates)
+	}
+	if syms < 1 || syms > maxSymbols {
+		return 0, fmt.Errorf("query: %d symbol columns outside [1, %d]", syms, maxSymbols)
+	}
+	cells, ok := mul(num, syms)
+	if !ok {
+		return 0, fmt.Errorf("query: %d×%d transition cells overflow", num, syms)
+	}
+	return cells, nil
 }
 
 // checkTargets verifies every entry of a target table lies in [0, num).
@@ -310,256 +377,28 @@ func checkOffsets(what string, off []int32, cells, targets int) error {
 }
 
 // checkAscending verifies sparse return keys are strictly ascending (the
-// binary-search invariant).
-func checkAscending(keys []uint64) error {
+// binary-search invariant) and index the quadratic return space
+// (lin*num+hier)*syms+sym of num states over cells = num×syms columns, so a
+// key always decomposes back into two states and a symbol.
+func checkAscending(keys []uint64, num, cells int) error {
 	for i := 1; i < len(keys); i++ {
 		if keys[i] <= keys[i-1] {
 			return fmt.Errorf("query: sparse return keys not strictly ascending at %d", i)
 		}
 	}
+	limit := uint64(math.MaxInt64)
+	if n, ok := mul(num, cells); ok {
+		limit = uint64(n)
+	}
+	if n := len(keys); n > 0 && keys[n-1] >= limit {
+		return fmt.Errorf("query: sparse return key %d outside the %d-state return index", keys[n-1], num)
+	}
 	return nil
-}
-
-// decodeCompiled rebuilds a Compiled from a KindDNWA container.
-func decodeCompiled(d *decodeState) (*Compiled, error) {
-	if d.r.Kind() != format.KindDNWA {
-		return nil, fmt.Errorf("query: container kind %d is not a compiled DNWA", d.r.Kind())
-	}
-	meta, err := d.uint64s(secMeta, "meta")
-	if err != nil {
-		return nil, err
-	}
-	if len(meta) < 5 {
-		return nil, fmt.Errorf("query: DNWA meta section holds %d values, want 5", len(meta))
-	}
-	num, syms := int(meta[0]), int(meta[1])
-	if num < 1 || num > maxStates {
-		return nil, fmt.Errorf("query: %d states outside [1, %d]", meta[0], maxStates)
-	}
-	if syms < 1 || syms > maxSymbols {
-		return nil, fmt.Errorf("query: %d symbol columns outside [1, %d]", meta[1], maxSymbols)
-	}
-	if meta[2] >= uint64(num) || meta[3] >= uint64(num) {
-		return nil, fmt.Errorf("query: start %d / dead %d outside the %d states", meta[2], meta[3], num)
-	}
-	c := &Compiled{
-		num:        num,
-		syms:       syms,
-		start:      int32(meta[2]),
-		dead:       int32(meta[3]),
-		dense:      meta[4] == 1,
-		fmtVersion: d.r.Version(),
-	}
-	if err := d.resolveAlphabet(syms); err != nil {
-		return nil, err
-	}
-	c.alpha = d.alpha
-	if c.accept, err = d.decodeAccept(num); err != nil {
-		return nil, err
-	}
-	cells, ok := mul(num, syms)
-	if !ok {
-		return nil, fmt.Errorf("query: %d×%d transition cells overflow", num, syms)
-	}
-	for _, t := range []struct {
-		tag  uint32
-		what string
-		dst  *[]int32
-	}{
-		{secCallLin, "call linear", &c.callLin},
-		{secCallHier, "call hierarchical", &c.callHier},
-		{secInternal, "internal", &c.internT},
-	} {
-		v, err := d.int32s(t.tag, t.what)
-		if err != nil {
-			return nil, err
-		}
-		if len(v) != cells {
-			return nil, fmt.Errorf("query: %s table holds %d cells, want %d", t.what, len(v), cells)
-		}
-		if err := checkTargets(t.what, v, num); err != nil {
-			return nil, err
-		}
-		*t.dst = v
-	}
-	if c.dense {
-		retCells, ok := mul(num, cells)
-		if !ok {
-			return nil, fmt.Errorf("query: dense return table for %d states overflows", num)
-		}
-		v, err := d.int32s(secReturnT, "dense return")
-		if err != nil {
-			return nil, err
-		}
-		if len(v) != retCells {
-			return nil, fmt.Errorf("query: dense return table holds %d cells, want %d", len(v), retCells)
-		}
-		if err := checkTargets("dense return", v, num); err != nil {
-			return nil, err
-		}
-		c.returnT = v
-	} else {
-		keys, err := d.uint64s(secRetKeys, "sparse return keys")
-		if err != nil {
-			return nil, err
-		}
-		vals, err := d.int32s(secRetVals, "sparse return values")
-		if err != nil {
-			return nil, err
-		}
-		if len(keys) != len(vals) {
-			return nil, fmt.Errorf("query: %d sparse return keys vs %d values", len(keys), len(vals))
-		}
-		if err := checkAscending(keys); err != nil {
-			return nil, err
-		}
-		if err := checkTargets("sparse return", vals, num); err != nil {
-			return nil, err
-		}
-		c.sparseR = sparseTable{keys: keys, vals: vals}
-	}
-	return c, nil
-}
-
-// decodeCompiledN rebuilds a CompiledN from a KindNNWA container.
-func decodeCompiledN(d *decodeState) (*CompiledN, error) {
-	if d.r.Kind() != format.KindNNWA {
-		return nil, fmt.Errorf("query: container kind %d is not a compiled NNWA", d.r.Kind())
-	}
-	meta, err := d.uint64s(secMeta, "meta")
-	if err != nil {
-		return nil, err
-	}
-	if len(meta) < 3 {
-		return nil, fmt.Errorf("query: NNWA meta section holds %d values, want 3", len(meta))
-	}
-	num, syms := int(meta[0]), int(meta[1])
-	if num < 1 || num > maxStates {
-		return nil, fmt.Errorf("query: %d states outside [1, %d]", meta[0], maxStates)
-	}
-	if syms < 1 || syms > maxSymbols {
-		return nil, fmt.Errorf("query: %d symbol columns outside [1, %d]", meta[1], maxSymbols)
-	}
-	c := &CompiledN{num: num, syms: syms, dense: meta[2] == 1, w: bitset.Words(num), fmtVersion: d.r.Version()}
-	if err := d.resolveAlphabet(syms); err != nil {
-		return nil, err
-	}
-	c.alpha = d.alpha
-	if c.accept, err = d.decodeAccept(num); err != nil {
-		return nil, err
-	}
-	if c.starts, err = d.int32s(secStarts, "start states"); err != nil {
-		return nil, err
-	}
-	if err := checkTargets("start states", c.starts, num); err != nil {
-		return nil, err
-	}
-	cells, ok := mul(num, syms)
-	if !ok {
-		return nil, fmt.Errorf("query: %d×%d transition cells overflow", num, syms)
-	}
-
-	// Call and internal CSR adjacency.
-	if c.callLin, err = d.int32s(secCallLin, "call linear"); err != nil {
-		return nil, err
-	}
-	if c.callHier, err = d.int32s(secCallHier, "call hierarchical"); err != nil {
-		return nil, err
-	}
-	if len(c.callHier) != len(c.callLin) {
-		return nil, fmt.Errorf("query: %d call linear targets vs %d hierarchical", len(c.callLin), len(c.callHier))
-	}
-	if c.callOff, err = d.int32s(secCallOff, "call offsets"); err != nil {
-		return nil, err
-	}
-	if err := checkOffsets("call offsets", c.callOff, cells, len(c.callLin)); err != nil {
-		return nil, err
-	}
-	if err := checkTargets("call linear", c.callLin, num); err != nil {
-		return nil, err
-	}
-	if err := checkTargets("call hierarchical", c.callHier, num); err != nil {
-		return nil, err
-	}
-	if c.intTo, err = d.int32s(secIntTo, "internal targets"); err != nil {
-		return nil, err
-	}
-	if c.intOff, err = d.int32s(secIntOff, "internal offsets"); err != nil {
-		return nil, err
-	}
-	if err := checkOffsets("internal offsets", c.intOff, cells, len(c.intTo)); err != nil {
-		return nil, err
-	}
-	if err := checkTargets("internal targets", c.intTo, num); err != nil {
-		return nil, err
-	}
-
-	// Return adjacency, dense prefix offsets or sorted key spans.
-	if c.retTo, err = d.int32s(secRetTo, "return targets"); err != nil {
-		return nil, err
-	}
-	if err := checkTargets("return targets", c.retTo, num); err != nil {
-		return nil, err
-	}
-	if c.dense {
-		retCells, ok := mul(num, cells)
-		if !ok {
-			return nil, fmt.Errorf("query: dense return index for %d states overflows", num)
-		}
-		if c.retOff, err = d.int32s(secRetOff, "return offsets"); err != nil {
-			return nil, err
-		}
-		if err := checkOffsets("return offsets", c.retOff, retCells, len(c.retTo)); err != nil {
-			return nil, err
-		}
-	} else {
-		if c.retKeys, err = d.uint64s(secRetKeys, "sparse return keys"); err != nil {
-			return nil, err
-		}
-		if err := checkAscending(c.retKeys); err != nil {
-			return nil, err
-		}
-		if c.retSpan, err = d.int32s(secRetSpan, "sparse return spans"); err != nil {
-			return nil, err
-		}
-		if err := checkOffsets("sparse return spans", c.retSpan, len(c.retKeys), len(c.retTo)); err != nil {
-			return nil, err
-		}
-	}
-
-	// Per-symbol successor mask slabs, plus the derived start/accept rows.
-	slab, ok := mul(cells, c.w)
-	if !ok {
-		return nil, fmt.Errorf("query: %d×%d mask slab overflows", cells, c.w)
-	}
-	for _, t := range []struct {
-		tag  uint32
-		what string
-		dst  *[]uint64
-	}{
-		{secIntMask, "internal mask", &c.intMask},
-		{secCallMask, "call mask", &c.callMask},
-	} {
-		v, err := d.uint64s(t.tag, t.what)
-		if err != nil {
-			return nil, err
-		}
-		if len(v) != slab {
-			return nil, fmt.Errorf("query: %s slab holds %d words, want %d", t.what, len(v), slab)
-		}
-		if err := checkMaskBits(t.what, v, num, c.w); err != nil {
-			return nil, err
-		}
-		*t.dst = v
-	}
-	c.startRow = packStateRow(num, c.starts)
-	c.acceptRow = packAcceptRow(c.accept)
-	return c, nil
 }
 
 // checkMaskBits rejects mask slabs with bits set beyond the state range:
 // a phantom high bit would make NextSet yield a state ≥ num and index the
-// adjacency tables out of range.
+// adjacency tables out of range.  w must be at least 1.
 func checkMaskBits(what string, slab []uint64, num, w int) error {
 	rem := uint(num) & 63
 	if rem == 0 {
@@ -574,8 +413,221 @@ func checkMaskBits(what string, slab []uint64, num, w int) error {
 	return nil
 }
 
-// decodeQuery dispatches on the container kind.
-func decodeQuery(data []byte, alpha *alphabet.Alphabet, zeroCopy bool) (Query, error) {
+// validate checks the Compiled invariants: dimensions in range, start and
+// dead states inside them, the accept table and the dense call/internal
+// tables num×syms long, the return table dense over num×num×syms cells or
+// sparse with strictly ascending in-range keys paired with values, and every
+// target a state.
+func (c *Compiled) validate() error {
+	cells, err := checkDims(c.num, c.syms)
+	if err != nil {
+		return err
+	}
+	if err := checkAlphabet(c.alpha, c.syms); err != nil {
+		return err
+	}
+	if c.start < 0 || int(c.start) >= c.num || c.dead < 0 || int(c.dead) >= c.num {
+		return fmt.Errorf("query: start %d / dead %d outside the %d states", c.start, c.dead, c.num)
+	}
+	if len(c.accept) != c.num {
+		return fmt.Errorf("query: accept table holds %d states, automaton has %d", len(c.accept), c.num)
+	}
+	for _, t := range []struct {
+		what string
+		tab  []int32
+	}{
+		{"call linear", c.callLin},
+		{"call hierarchical", c.callHier},
+		{"internal", c.internT},
+	} {
+		if len(t.tab) != cells {
+			return fmt.Errorf("query: %s table holds %d cells, want %d", t.what, len(t.tab), cells)
+		}
+		if err := checkTargets(t.what, t.tab, c.num); err != nil {
+			return err
+		}
+	}
+	if c.dense {
+		retCells, ok := mul(c.num, cells)
+		if !ok || len(c.returnT) != retCells {
+			return fmt.Errorf("query: dense return table holds %d cells, want %d×%d×%d",
+				len(c.returnT), c.num, c.num, c.syms)
+		}
+		return checkTargets("dense return", c.returnT, c.num)
+	}
+	if len(c.sparseR.keys) != len(c.sparseR.vals) {
+		return fmt.Errorf("query: %d sparse return keys vs %d values", len(c.sparseR.keys), len(c.sparseR.vals))
+	}
+	if err := checkAscending(c.sparseR.keys, c.num, cells); err != nil {
+		return err
+	}
+	return checkTargets("sparse return", c.sparseR.vals, c.num)
+}
+
+// validate checks the CompiledN invariants: dimensions in range, the accept
+// table num long, every start state and CSR target a state, each CSR offset
+// table monotone over exactly its cells and targets (the return index dense
+// over num×num×syms cells or sparse over strictly ascending in-range keys),
+// and both successor mask slabs num×syms rows of bitset.Words(num) words
+// with no bit past num.  The start/accept rows and the mask/CSR agreement
+// are cross-representation properties left to vet.
+func (c *CompiledN) validate() error {
+	cells, err := checkDims(c.num, c.syms)
+	if err != nil {
+		return err
+	}
+	if err := checkAlphabet(c.alpha, c.syms); err != nil {
+		return err
+	}
+	if len(c.accept) != c.num {
+		return fmt.Errorf("query: accept table holds %d states, automaton has %d", len(c.accept), c.num)
+	}
+	if err := checkTargets("start states", c.starts, c.num); err != nil {
+		return err
+	}
+	if len(c.callHier) != len(c.callLin) {
+		return fmt.Errorf("query: %d call linear targets vs %d hierarchical", len(c.callLin), len(c.callHier))
+	}
+	if err := firstError(
+		checkOffsets("call offsets", c.callOff, cells, len(c.callLin)),
+		checkTargets("call linear", c.callLin, c.num),
+		checkTargets("call hierarchical", c.callHier, c.num),
+		checkOffsets("internal offsets", c.intOff, cells, len(c.intTo)),
+		checkTargets("internal targets", c.intTo, c.num),
+		checkTargets("return targets", c.retTo, c.num),
+	); err != nil {
+		return err
+	}
+	if c.dense {
+		retCells, ok := mul(c.num, cells)
+		if !ok {
+			return fmt.Errorf("query: dense return index for %d states overflows", c.num)
+		}
+		if err := checkOffsets("return offsets", c.retOff, retCells, len(c.retTo)); err != nil {
+			return err
+		}
+	} else {
+		if err := checkAscending(c.retKeys, c.num, cells); err != nil {
+			return err
+		}
+		if err := checkOffsets("sparse return spans", c.retSpan, len(c.retKeys), len(c.retTo)); err != nil {
+			return err
+		}
+	}
+	if c.w != bitset.Words(c.num) {
+		return fmt.Errorf("query: mask rows hold %d words, %d states need %d", c.w, c.num, bitset.Words(c.num))
+	}
+	slab, ok := mul(cells, c.w)
+	if !ok || len(c.intMask) != slab || len(c.callMask) != slab {
+		return fmt.Errorf("query: mask slabs hold %d/%d words, want %d×%d", len(c.intMask), len(c.callMask), cells, c.w)
+	}
+	if err := checkMaskBits("internal mask", c.intMask, c.num, c.w); err != nil {
+		return err
+	}
+	return checkMaskBits("call mask", c.callMask, c.num, c.w)
+}
+
+// firstError returns the first non-nil error of a run of independent checks.
+func firstError(errs ...error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// validateQuery runs the validator of either compiled form; any other Query
+// implementation has no tables to serialize or vet.
+func validateQuery(q Query) error {
+	switch c := q.(type) {
+	case *Compiled:
+		return c.validate()
+	case *CompiledN:
+		return c.validate()
+	}
+	return fmt.Errorf("query: %T is not a compiled query (want *Compiled or *CompiledN)", q)
+}
+
+// --- decoding ------------------------------------------------------------
+
+// readCompiled reads a KindDNWA container into a Compiled without
+// validating it.
+func readCompiled(d *decodeState) (*Compiled, error) {
+	meta, err := d.decodeMeta("DNWA", 5, 4)
+	if err != nil {
+		return nil, err
+	}
+	c := &Compiled{
+		num:        int(meta[0]),
+		syms:       int(meta[1]),
+		start:      int32(meta[2]),
+		dead:       int32(meta[3]),
+		dense:      meta[4] == 1,
+		fmtVersion: d.r.Version(),
+	}
+	if err := d.loadAlphabet(); err != nil {
+		return nil, err
+	}
+	c.alpha = d.alpha
+	if c.accept, err = d.decodeAccept(); err != nil {
+		return nil, err
+	}
+	d.readInt32s(&c.callLin, secCallLin, "call linear")
+	d.readInt32s(&c.callHier, secCallHier, "call hierarchical")
+	d.readInt32s(&c.internT, secInternal, "internal")
+	if c.dense {
+		d.readInt32s(&c.returnT, secReturnT, "dense return")
+	} else {
+		d.readUint64s(&c.sparseR.keys, secRetKeys, "sparse return keys")
+		d.readInt32s(&c.sparseR.vals, secRetVals, "sparse return values")
+	}
+	if d.err != nil {
+		return nil, d.err
+	}
+	return c, nil
+}
+
+// readCompiledN reads a KindNNWA container into a CompiledN without
+// validating it or building its start/accept rows.
+func readCompiledN(d *decodeState) (*CompiledN, error) {
+	meta, err := d.decodeMeta("NNWA", 3, 2)
+	if err != nil {
+		return nil, err
+	}
+	num := int(meta[0])
+	c := &CompiledN{num: num, syms: int(meta[1]), dense: meta[2] == 1, w: bitset.Words(num), fmtVersion: d.r.Version()}
+	if err := d.loadAlphabet(); err != nil {
+		return nil, err
+	}
+	c.alpha = d.alpha
+	if c.accept, err = d.decodeAccept(); err != nil {
+		return nil, err
+	}
+	d.readInt32s(&c.starts, secStarts, "start states")
+	d.readInt32s(&c.callOff, secCallOff, "call offsets")
+	d.readInt32s(&c.callLin, secCallLin, "call linear")
+	d.readInt32s(&c.callHier, secCallHier, "call hierarchical")
+	d.readInt32s(&c.intOff, secIntOff, "internal offsets")
+	d.readInt32s(&c.intTo, secIntTo, "internal targets")
+	d.readInt32s(&c.retTo, secRetTo, "return targets")
+	if c.dense {
+		d.readInt32s(&c.retOff, secRetOff, "return offsets")
+	} else {
+		d.readUint64s(&c.retKeys, secRetKeys, "sparse return keys")
+		d.readInt32s(&c.retSpan, secRetSpan, "sparse return spans")
+	}
+	d.readUint64s(&c.intMask, secIntMask, "internal mask")
+	d.readUint64s(&c.callMask, secCallMask, "call mask")
+	if d.err != nil {
+		return nil, d.err
+	}
+	return c, nil
+}
+
+// readQuery reads either compiled form from its container without
+// validating it; decodeQuery and decodeProduct validate what it returns.
+func readQuery(data []byte, alpha *alphabet.Alphabet, zeroCopy bool) (Query, error) {
 	r, err := format.NewReader(data)
 	if err != nil {
 		return nil, err
@@ -583,12 +635,28 @@ func decodeQuery(data []byte, alpha *alphabet.Alphabet, zeroCopy bool) (Query, e
 	d := &decodeState{r: r, alpha: alpha, zeroCopy: zeroCopy}
 	switch r.Kind() {
 	case format.KindDNWA:
-		return decodeCompiled(d)
+		return readCompiled(d)
 	case format.KindNNWA:
-		return decodeCompiledN(d)
+		return readCompiledN(d)
 	default:
 		return nil, fmt.Errorf("query: container kind %d is not a compiled query", r.Kind())
 	}
+}
+
+// decodeQuery reads either compiled form, validates it, and builds the
+// derived start/accept rows of a CompiledN.
+func decodeQuery(data []byte, alpha *alphabet.Alphabet, zeroCopy bool) (Query, error) {
+	q, err := readQuery(data, alpha, zeroCopy)
+	if err == nil {
+		err = validateQuery(q)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if c, ok := q.(*CompiledN); ok {
+		c.packRows()
+	}
+	return q, nil
 }
 
 // UnmarshalCompiled decodes a standalone serialized compiled DNWA, copying
@@ -662,28 +730,57 @@ func (p *CompiledProduct) encode(includeAlpha bool, groupIdx []int32, version ui
 	return w.Finish()
 }
 
+// maskShape returns the accept-mask geometry the product's interior
+// implies: rows of width words each, with bits usable columns per row — one
+// bitset.Words(nq)-word row of member bits per state of a deterministic
+// product, one union-width row of states per member of a joint one.
+func (p *CompiledProduct) maskShape() (rows, width, bits int) {
+	if c, ok := p.inner.(*CompiledN); ok {
+		return p.nq, c.w, c.num
+	}
+	if c, ok := p.inner.(*Compiled); ok {
+		return c.num, bitset.Words(p.nq), p.nq
+	}
+	return 0, 0, 0
+}
+
+// validate checks the CompiledProduct invariants: the query count in range,
+// the interior automaton valid under its own validator, and the accept mask
+// exactly the shape maskShape implies with no bit beyond the query count
+// (deterministic) or state count (joint) — the "mask width == query count"
+// guarantee the runners and nwtool vet rely on.
+func (p *CompiledProduct) validate() error {
+	if p.nq < 1 || p.nq > maxStates {
+		return fmt.Errorf("query: product over %d queries outside [1, %d]", p.nq, maxStates)
+	}
+	if err := validateQuery(p.inner); err != nil {
+		return fmt.Errorf("query: product automaton: %w", err)
+	}
+	rows, width, bits := p.maskShape()
+	if p.maskW != width {
+		return fmt.Errorf("query: product mask rows hold %d words, want %d", p.maskW, width)
+	}
+	if n, ok := mul(rows, width); !ok || len(p.mask) != n {
+		return fmt.Errorf("query: product accept mask holds %d words, want %d×%d", len(p.mask), rows, width)
+	}
+	return checkMaskBits("accept mask", p.mask, bits, width)
+}
+
 // decodeProduct rebuilds a CompiledProduct from a KindProduct container,
 // returning the demux indices of its group-index section when present (a
-// bundle-embedded product names the bundle slots its mask bits answer).
-// Beyond the embedded automaton's own validation, the accept mask must have
-// exactly the width the mode implies and no bits beyond the query count
-// (deterministic) or state count (joint) — the "mask width == query count"
-// guarantee nwtool vet relies on.
+// bundle-embedded product names the bundle slots its mask bits answer; the
+// bundle's checkCover holds them to the query count).  The embedded
+// automaton is read unvalidated and checked once, by the product's
+// validator.
 func decodeProduct(d *decodeState) (*CompiledProduct, []int32, error) {
 	if d.r.Kind() != format.KindProduct {
 		return nil, nil, fmt.Errorf("query: container kind %d is not a product cluster", d.r.Kind())
 	}
-	meta, err := d.uint64s(secMeta, "meta")
+	meta, err := d.decodeMeta("product", 2, 1)
 	if err != nil {
 		return nil, nil, err
 	}
-	if len(meta) < 2 {
-		return nil, nil, fmt.Errorf("query: product meta section holds %d values, want 2", len(meta))
-	}
-	nq, mode := int(meta[0]), meta[1]
-	if nq < 1 || nq > maxStates {
-		return nil, nil, fmt.Errorf("query: product over %d queries outside [1, %d]", meta[0], maxStates)
-	}
+	mode := meta[1]
 	if mode > 1 {
 		return nil, nil, fmt.Errorf("query: product mode %d is neither deterministic (0) nor joint (1)", mode)
 	}
@@ -695,51 +792,28 @@ func decodeProduct(d *decodeState) (*CompiledProduct, []int32, error) {
 		if groupIdx, err = d.int32s(secGroupIdx, "group index"); err != nil {
 			return nil, nil, err
 		}
-		if len(groupIdx) != nq {
-			return nil, nil, fmt.Errorf("query: product answers %d queries but demuxes to %d bundle slots",
-				nq, len(groupIdx))
-		}
 	}
 	blob, err := d.section(secQuery, "embedded automaton")
 	if err != nil {
 		return nil, nil, err
 	}
-	inner, err := decodeQuery(blob, d.alpha, d.zeroCopy)
+	inner, err := readQuery(blob, d.alpha, d.zeroCopy)
 	if err != nil {
 		return nil, nil, fmt.Errorf("query: product automaton: %w", err)
 	}
-	mask, err := d.uint64s(secAcceptMask, "accept mask")
-	if err != nil {
+	p := &CompiledProduct{inner: inner, nq: int(meta[0]), fmtVersion: d.r.Version()}
+	if p.Deterministic() != (mode == 0) {
+		return nil, nil, fmt.Errorf("query: product mode %d does not match its embedded %T", mode, inner)
+	}
+	if p.mask, err = d.uint64s(secAcceptMask, "accept mask"); err != nil {
 		return nil, nil, err
 	}
-	p := &CompiledProduct{inner: inner, nq: nq, mask: mask, fmtVersion: d.r.Version()}
-	switch c := inner.(type) {
-	case *Compiled:
-		if mode != 0 {
-			return nil, nil, fmt.Errorf("query: joint-mode product embeds a deterministic automaton")
-		}
-		p.maskW = bitset.Words(nq)
-		want, ok := mul(c.num, p.maskW)
-		if !ok || len(mask) != want {
-			return nil, nil, fmt.Errorf("query: product accept mask holds %d words, want %d (%d states × %d)",
-				len(mask), want, c.num, p.maskW)
-		}
-		if err := checkMaskBits("accept mask", mask, nq, p.maskW); err != nil {
-			return nil, nil, err
-		}
-	case *CompiledN:
-		if mode != 1 {
-			return nil, nil, fmt.Errorf("query: deterministic-mode product embeds a nondeterministic automaton")
-		}
-		p.maskW = c.w
-		want, ok := mul(nq, p.maskW)
-		if !ok || len(mask) != want {
-			return nil, nil, fmt.Errorf("query: product accept mask holds %d words, want %d (%d queries × %d)",
-				len(mask), want, nq, p.maskW)
-		}
-		if err := checkMaskBits("accept mask", mask, c.num, p.maskW); err != nil {
-			return nil, nil, err
-		}
+	_, p.maskW, _ = p.maskShape()
+	if err := p.validate(); err != nil {
+		return nil, nil, err
+	}
+	if c, ok := inner.(*CompiledN); ok {
+		c.packRows()
 	}
 	return p, groupIdx, nil
 }
@@ -889,35 +963,71 @@ func NewPlannedBundle(src *Bundle, clusters [][]int, products []*CompiledProduct
 		names:   append([]string(nil), src.names...),
 		queries: append([]Query(nil), src.queries...),
 	}
-	grouped := make([]bool, len(b.queries))
 	for gi, cluster := range clusters {
-		p := products[gi]
-		if p == nil {
-			return nil, fmt.Errorf("query: cluster %d has no product", gi)
-		}
-		if p.QueryCount() != len(cluster) {
-			return nil, fmt.Errorf("query: cluster %d holds %d queries, product answers %d",
-				gi, len(cluster), p.QueryCount())
-		}
-		if !b.alpha.Equal(p.Alphabet()) {
-			return nil, fmt.Errorf("query: cluster %d product uses alphabet %v, bundle is over %v",
-				gi, p.Alphabet(), b.alpha)
-		}
-		g := ProductGroup{Indices: make([]int32, len(cluster)), Product: p}
+		g := ProductGroup{Indices: make([]int32, len(cluster)), Product: products[gi]}
 		for j, idx := range cluster {
 			if idx < 0 || idx >= len(b.queries) {
 				return nil, fmt.Errorf("query: cluster %d index %d outside the %d queries", gi, idx, len(b.queries))
 			}
-			if grouped[idx] {
-				return nil, fmt.Errorf("query: query %q appears in two clusters", b.names[idx])
-			}
-			grouped[idx] = true
 			g.Indices[j] = int32(idx)
 			b.queries[idx] = nil
 		}
 		b.groups = append(b.groups, g)
 	}
+	if err := b.checkCover(); err != nil {
+		return nil, err
+	}
 	return b, nil
+}
+
+// checkCover checks the bundle's demux table, the rule that makes a planned
+// bundle answer exactly what its unplanned form would: one distinct name
+// per query slot, every name answered by exactly one solo query or product
+// slot, every demux index in range, every group exactly as wide as its
+// product's query count, and every query and product over the bundle
+// alphabet.  NewPlannedBundle, decodeBundle and VetBundle all apply it.
+func (b *Bundle) checkCover() error {
+	if len(b.names) != len(b.queries) {
+		return fmt.Errorf("query: bundle names %d queries but holds %d", len(b.names), len(b.queries))
+	}
+	if dup := firstDuplicate(b.names); dup != "" {
+		return fmt.Errorf("query: bundle names repeat %q", dup)
+	}
+	covered := make([]bool, len(b.queries))
+	for gi, g := range b.groups {
+		if g.Product == nil || g.Product.inner == nil {
+			return fmt.Errorf("query: bundle group %d has no product automaton", gi)
+		}
+		if len(g.Indices) != g.Product.nq {
+			return fmt.Errorf("query: bundle group %d demuxes %d queries, its product answers %d",
+				gi, len(g.Indices), g.Product.nq)
+		}
+		if !b.alpha.Equal(g.Product.Alphabet()) {
+			return fmt.Errorf("query: bundle group %d product uses alphabet %v, bundle is over %v",
+				gi, g.Product.Alphabet(), b.alpha)
+		}
+		for _, idx := range g.Indices {
+			if idx < 0 || int(idx) >= len(b.queries) {
+				return fmt.Errorf("query: bundle group %d index %d outside the %d queries", gi, idx, len(b.queries))
+			}
+			if covered[idx] {
+				return fmt.Errorf("query: bundle demuxes query %q twice", b.names[idx])
+			}
+			covered[idx] = true
+		}
+	}
+	for i, q := range b.queries {
+		switch {
+		case q == nil && !covered[i]:
+			return fmt.Errorf("query: bundle covers neither solo nor product for query %q", b.names[i])
+		case q != nil && covered[i]:
+			return fmt.Errorf("query: bundle query %q has both a solo query and a product slot", b.names[i])
+		case q != nil && !b.alpha.Equal(q.Alphabet()):
+			return fmt.Errorf("query: bundle query %q uses alphabet %v, bundle is over %v",
+				b.names[i], q.Alphabet(), b.alpha)
+		}
+	}
+	return nil
 }
 
 // Marshal serializes the bundle: the shared alphabet once, the names, and
@@ -998,9 +1108,6 @@ func decodeBundle(data []byte, zeroCopy bool) (*Bundle, error) {
 	if err != nil {
 		return nil, fmt.Errorf("query: bundle names: %w", err)
 	}
-	if dup := firstDuplicate(names); dup != "" {
-		return nil, fmt.Errorf("query: bundle names repeat %q", dup)
-	}
 	blobs := r.Sections(secQuery)
 	b := &Bundle{alpha: alpha, names: names, raw: data, fmtVersion: r.Version()}
 	if h, ok := r.ContentHash(); ok {
@@ -1021,67 +1128,58 @@ func decodeBundle(data []byte, zeroCopy bool) (*Bundle, error) {
 			}
 			b.queries = append(b.queries, q)
 		}
-		return b, nil
+	} else if err := b.decodePlanned(r, soloSec, blobs, zeroCopy); err != nil {
+		return nil, err
 	}
+	if err := b.checkCover(); err != nil {
+		return nil, err
+	}
+	return b, nil
+}
 
-	// Planned layout: the solo-index section pairs positionally with the
-	// embedded query blobs, product containers carry their own demux
-	// indices, and together they must cover every name exactly once — the
-	// demux-table total nwtool vet re-checks.
+// decodePlanned reads a planned bundle's layout: the solo-index section
+// pairs positionally with the embedded query blobs, and each product
+// container carries its own demux indices.  A solo index is bounded and
+// checked for repeats here, before its slot is written; the rest of the
+// cover rule is checkCover's.
+func (b *Bundle) decodePlanned(r *format.Reader, soloSec []byte, blobs [][]byte, zeroCopy bool) error {
 	solo, err := format.Int32s(soloSec, false)
 	if err != nil {
-		return nil, fmt.Errorf("query: bundle solo indices: %w", err)
+		return fmt.Errorf("query: bundle solo indices: %w", err)
 	}
 	if len(blobs) != len(solo) {
-		return nil, fmt.Errorf("query: bundle lists %d solo queries but embeds %d", len(solo), len(blobs))
+		return fmt.Errorf("query: bundle lists %d solo queries but embeds %d", len(solo), len(blobs))
 	}
-	b.queries = make([]Query, len(names))
-	covered := make([]bool, len(names))
-	claim := func(idx int32, what string) error {
-		if idx < 0 || int(idx) >= len(names) {
-			return fmt.Errorf("query: bundle %s index %d outside the %d queries", what, idx, len(names))
-		}
-		if covered[idx] {
-			return fmt.Errorf("query: bundle covers query %q twice", names[idx])
-		}
-		covered[idx] = true
-		return nil
-	}
+	b.queries = make([]Query, len(b.names))
 	for i, blob := range blobs {
-		if err := claim(solo[i], "solo"); err != nil {
-			return nil, err
+		idx := solo[i]
+		if idx < 0 || int(idx) >= len(b.names) {
+			return fmt.Errorf("query: bundle solo index %d outside the %d queries", idx, len(b.names))
 		}
-		q, err := decodeQuery(blob, alpha, zeroCopy)
+		if b.queries[idx] != nil {
+			return fmt.Errorf("query: bundle lists solo query %q twice", b.names[idx])
+		}
+		q, err := decodeQuery(blob, b.alpha, zeroCopy)
 		if err != nil {
-			return nil, fmt.Errorf("query: bundle query %q: %w", names[solo[i]], err)
+			return fmt.Errorf("query: bundle query %q: %w", b.names[idx], err)
 		}
-		b.queries[solo[i]] = q
+		b.queries[idx] = q
 	}
 	for gi, blob := range r.Sections(secProduct) {
 		pr, err := format.NewReader(blob)
 		if err != nil {
-			return nil, fmt.Errorf("query: bundle product %d: %w", gi, err)
+			return fmt.Errorf("query: bundle product %d: %w", gi, err)
 		}
-		p, idx, err := decodeProduct(&decodeState{r: pr, alpha: alpha, zeroCopy: zeroCopy})
+		p, idx, err := decodeProduct(&decodeState{r: pr, alpha: b.alpha, zeroCopy: zeroCopy})
 		if err != nil {
-			return nil, fmt.Errorf("query: bundle product %d: %w", gi, err)
+			return fmt.Errorf("query: bundle product %d: %w", gi, err)
 		}
 		if idx == nil {
-			return nil, fmt.Errorf("query: bundle product %d has no demux indices", gi)
-		}
-		for _, i := range idx {
-			if err := claim(i, "product"); err != nil {
-				return nil, err
-			}
+			return fmt.Errorf("query: bundle product %d has no demux indices", gi)
 		}
 		b.groups = append(b.groups, ProductGroup{Indices: idx, Product: p})
 	}
-	for i, ok := range covered {
-		if !ok {
-			return nil, fmt.Errorf("query: bundle covers neither solo nor product for query %q", names[i])
-		}
-	}
-	return b, nil
+	return nil
 }
 
 func firstDuplicate(names []string) string {

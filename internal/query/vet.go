@@ -15,14 +15,18 @@ import (
 // compiled artifact is checked before anything maps it, against invariants in
 // three rings.
 //
-//  1. Structural: the table shapes and target ranges the decode path also
-//     enforces, re-checked here so in-memory bundles (never serialized) get
-//     the same guarantees.
-//  2. Cross-representation: CompiledN stores its transitions twice — CSR
-//     adjacency and per-symbol bitmask slabs — and the runners mix both, so
-//     the two copies must agree bit for bit.  Decoding checks each copy in
-//     isolation; only vet cross-checks them, which makes this the one
-//     corruption a valid-looking container can smuggle past Unmarshal.
+//  1. Structural: the bundle's checkCover and each compiled form's validate
+//     — the very checks the decoder runs on every load (qset.go) — so an
+//     in-memory bundle that was never serialized meets the same rule.  A
+//     failed validator is reported as one error.
+//  2. Cross-representation: what a form stores twice must agree.  The DNWA
+//     dead state must be a sink; CompiledN's start/accept rows must mirror
+//     its starts and accept table, and its CSR adjacency and per-symbol
+//     bitmask slabs — the runners mix both — must agree bit for bit; a
+//     product's accept mask must agree with its interior's accept table.
+//     Decoding checks each copy in isolation; only vet cross-checks them,
+//     which makes these the corruptions a valid-looking container can
+//     smuggle past Unmarshal.
 //  3. Semantic: reachability and coaccessibility over the compiled tables,
 //     computed by the emptiness machinery of internal/nwa (Section 3.2), so
 //     unreachable states, useless transitions, and empty-language queries
@@ -202,7 +206,7 @@ func VetBytes(data []byte) (*VetReport, error) {
 			return nil, err
 		}
 		rep = &VetReport{}
-		vetProduct(rep, "product", p, -1)
+		vetProduct(rep, "product", p)
 	default:
 		return nil, fmt.Errorf("query: container kind %d is not a vettable artifact", r.Kind())
 	}
@@ -215,236 +219,102 @@ func VetBytes(data []byte) (*VetReport, error) {
 	return rep, nil
 }
 
-// VetBundle verifies an in-memory bundle: per-query structural and
-// cross-representation checks, alphabet agreement across the bundle, the
-// reachability/coaccessibility analysis, and — for a planned bundle — the
-// product-group demux invariants (every name covered exactly once, mask
-// width matching the group's query count).
+// VetBundle verifies an in-memory bundle: the bundle's demux and coverage
+// rule (checkCover), each product and query under its structural validator,
+// the cross-representation checks, and the reachability/coaccessibility
+// analysis.  A bundle that breaks the cover rule gets that one error and no
+// per-query pass, since its slots cannot be trusted to name their queries.
 func VetBundle(b *Bundle) *VetReport {
 	rep := &VetReport{}
-	if b.Len() == 0 {
+	if len(b.queries) == 0 {
 		rep.add("", VetWarning, "bundle holds no queries")
 	}
-	grouped := make([]int, b.Len()) // 0 = solo, g+1 = covered by group g
-	for gi, g := range b.Groups() {
-		gname := fmt.Sprintf("group %d", gi+1)
-		sound := true
-		for _, idx := range g.Indices {
-			if idx < 0 || int(idx) >= b.Len() {
-				rep.add(gname, VetError, fmt.Sprintf("demux index %d outside the %d bundle queries", idx, b.Len()))
-				sound = false
-				continue
-			}
-			if prev := grouped[idx]; prev != 0 {
-				rep.add(gname, VetError, fmt.Sprintf("query %q is already demuxed by group %d", b.Name(int(idx)), prev))
-				sound = false
-				continue
-			}
-			grouped[idx] = gi + 1
-			if b.Query(int(idx)) != nil {
-				rep.add(gname, VetError, fmt.Sprintf("query %q has both a solo runner and a product demux slot", b.Name(int(idx))))
-			}
-		}
-		if g.Product == nil {
-			rep.add(gname, VetError, "group has no product automaton")
-			continue
-		}
-		if !b.Alphabet().Equal(g.Product.Alphabet()) {
-			rep.add(gname, VetError, fmt.Sprintf("product alphabet %v disagrees with the bundle alphabet %v",
-				g.Product.Alphabet().Symbols(), b.Alphabet().Symbols()))
-			continue
-		}
-		if sound {
-			vetProduct(rep, gname, g.Product, len(g.Indices))
-		}
+	if err := b.checkCover(); err != nil {
+		rep.add("", VetError, err.Error())
+		return rep
 	}
-	for i := 0; i < b.Len(); i++ {
-		name := b.Name(i)
-		q := b.Query(i)
-		if q == nil {
-			if grouped[i] == 0 {
-				rep.add(name, VetError, "query is covered by neither a solo runner nor a product group")
-			}
-			continue
+	for gi, g := range b.groups {
+		vetProduct(rep, fmt.Sprintf("group %d", gi+1), g.Product)
+	}
+	for i, q := range b.queries {
+		if q != nil {
+			vetQuery(rep, b.names[i], q)
 		}
-		if !b.Alphabet().Equal(q.Alphabet()) {
-			rep.add(name, VetError, fmt.Sprintf("query alphabet %v disagrees with the bundle alphabet %v",
-				q.Alphabet().Symbols(), b.Alphabet().Symbols()))
-			continue
-		}
-		vetQuery(rep, name, q)
 	}
 	return rep
 }
 
-// vetProduct verifies a product-compiled cluster: the accept-bitmask slab
-// dimensions and bit ranges, the cross-representation agreement between the
-// mask and the shared automaton's accept table, and — through vetQuery — the
-// structural and semantic invariants of the automaton itself, reported under
-// the "product-dnwa"/"product-nnwa" forms.  wantMembers is the demux width
-// the containing group expects (-1 for a standalone artifact).
-func vetProduct(rep *VetReport, name string, p *CompiledProduct, wantMembers int) {
-	bad := func(msg string, args ...any) {
-		rep.add(name, VetError, fmt.Sprintf(msg, args...))
-	}
-	if p.nq < 1 || p.nq > maxStates {
-		bad("product answers %d queries, outside [1, %d]", p.nq, maxStates)
-		return
-	}
-	if wantMembers >= 0 && p.nq != wantMembers {
-		bad("product answers %d queries, its group demuxes %d", p.nq, wantMembers)
+// vetProduct verifies a product-compiled cluster: its validator (interior
+// automaton included), the cross-representation agreement between the
+// accept mask and the interior's accept table, and the interior's own
+// cross-representation and semantic passes, reported under the
+// "product-dnwa"/"product-nnwa" forms.
+func vetProduct(rep *VetReport, name string, p *CompiledProduct) {
+	if err := p.validate(); err != nil {
+		rep.add(name, VetError, err.Error())
 		return
 	}
 	switch c := p.inner.(type) {
 	case *Compiled:
-		if p.maskW != bitset.Words(p.nq) {
-			bad("mask rows hold %d words, %d queries need %d", p.maskW, p.nq, bitset.Words(p.nq))
-			return
-		}
-		cells, ok := mul(c.num, p.maskW)
-		if !ok || len(p.mask) != cells {
-			bad("accept mask holds %d words, want %d×%d", len(p.mask), c.num, p.maskW)
-			return
-		}
-		if err := checkMaskBits("accept mask", p.mask, p.nq, p.maskW); err != nil {
-			bad("%v", err)
-			return
-		}
-		// Cross-representation: the shared automaton accepts exactly where
-		// some member does, i.e. where the state's mask row is non-empty.
+		// The shared automaton accepts exactly where some member does, i.e.
+		// where the state's mask row is non-empty.
 		for s := 0; s < c.num; s++ {
 			if c.accept[s] != bitset.Slab(p.mask, s, p.maskW).Any() {
-				bad("state %d acceptance disagrees with its accept-mask row", s)
+				rep.add(name, VetError, fmt.Sprintf("state %d acceptance disagrees with its accept-mask row", s))
 				return
 			}
 		}
 	case *CompiledN:
-		if p.maskW != c.w {
-			bad("mask rows hold %d words, the union's %d states need %d", p.maskW, c.num, c.w)
-			return
-		}
-		cells, ok := mul(p.nq, p.maskW)
-		if !ok || len(p.mask) != cells {
-			bad("accept mask holds %d words, want %d×%d", len(p.mask), p.nq, p.maskW)
-			return
-		}
-		if err := checkMaskBits("accept mask", p.mask, c.num, p.maskW); err != nil {
-			bad("%v", err)
-			return
-		}
-		// Cross-representation: the union's accept row is exactly the union
-		// of the per-member verdict rows.
+		// The union's accept row is exactly the union of the per-member
+		// verdict rows.
 		union := bitset.New(c.num)
 		for q := 0; q < p.nq; q++ {
 			union.Or(bitset.Slab(p.mask, q, p.maskW))
 		}
 		if !union.Equal(c.acceptRow) {
-			bad("the union of the member verdict rows disagrees with the accept row")
+			rep.add(name, VetError, "the union of the member verdict rows disagrees with the accept row")
 			return
 		}
-	default:
-		bad("cannot vet a %T product interior", p.inner)
-		return
 	}
-	before := len(rep.Queries)
-	vetQuery(rep, name, p.inner)
-	for i := before; i < len(rep.Queries); i++ {
-		rep.Queries[i].Form = "product-" + rep.Queries[i].Form
-	}
+	vetValid(rep, name, "product-", p.inner)
 }
 
-// vetQuery dispatches one compiled query through the structural and semantic
-// checks; unknown Query implementations are rejected (only the serializable
+// vetQuery verifies one compiled query: its validator, then vetValid.
+// Unknown Query implementations fail the validator (only the serializable
 // compiled forms have vettable tables).
 func vetQuery(rep *VetReport, name string, q Query) {
+	if err := validateQuery(q); err != nil {
+		rep.add(name, VetError, err.Error())
+		return
+	}
+	vetValid(rep, name, "", q)
+}
+
+// vetValid runs the cross-representation and semantic passes over a query
+// that passed its validator; form prefixes the reported form name.
+func vetValid(rep *VetReport, name, form string, q Query) {
 	switch c := q.(type) {
 	case *Compiled:
-		if c.vetStructure(rep, name) {
-			vetSemantics(rep, name, "dnwa", dnwaGraph{c}, int(c.dead), c.countDeadTransitions)
-		}
+		c.vetSink(rep, name)
+		vetSemantics(rep, name, form+"dnwa", dnwaGraph{c}, int(c.dead), c.countDeadTransitions)
 	case *CompiledN:
-		if c.vetStructure(rep, name) {
-			vetSemantics(rep, name, "nnwa", nnwaGraph{c}, -1, c.countDeadTransitions)
+		if c.vetRows(rep, name) {
+			vetSemantics(rep, name, form+"nnwa", nnwaGraph{c}, -1, c.countDeadTransitions)
 		}
-	default:
-		rep.add(name, VetError, fmt.Sprintf("cannot vet a %T (want *Compiled or *CompiledN)", q))
 	}
 }
 
-// --- structural checks ---------------------------------------------------
+// --- cross-representation checks ------------------------------------------
 
-// vetStructure re-verifies the Compiled table invariants the decoder
-// enforces, plus the determinism/totality property the decoder cannot see:
-// the designated dead state must be a sink, or the compiled automaton
-// silently resurrects rejected runs.  (An *accepting* sink is legal — that
-// is what a complemented query looks like — and draws a warning, not an
-// error.)  It reports whether the tables are sound enough for the semantic
-// pass to index them.
-func (c *Compiled) vetStructure(rep *VetReport, name string) bool {
-	bad := func(msg string, args ...any) bool {
-		rep.add(name, VetError, fmt.Sprintf(msg, args...))
-		return false
-	}
-	if c.num < 1 || c.num > maxStates {
-		return bad("%d states outside [1, %d]", c.num, maxStates)
-	}
-	if c.syms < 1 || c.syms > maxSymbols {
-		return bad("%d symbol columns outside [1, %d]", c.syms, maxSymbols)
-	}
-	if c.alpha.Size()+1 != c.syms {
-		return bad("automaton compiled over %d symbols, alphabet has %d", c.syms-1, c.alpha.Size())
-	}
-	if int(c.start) >= c.num || int(c.dead) >= c.num || c.start < 0 || c.dead < 0 {
-		return bad("start %d / dead %d outside the %d states", c.start, c.dead, c.num)
-	}
-	if len(c.accept) != c.num {
-		return bad("accept table holds %d states, automaton has %d", len(c.accept), c.num)
-	}
-	cells, ok := mul(c.num, c.syms)
-	if !ok {
-		return bad("%d×%d transition cells overflow", c.num, c.syms)
-	}
-	for _, t := range []struct {
-		what string
-		tab  []int32
-	}{
-		{"call linear", c.callLin},
-		{"call hierarchical", c.callHier},
-		{"internal", c.internT},
-	} {
-		if len(t.tab) != cells {
-			return bad("%s table holds %d cells, want %d", t.what, len(t.tab), cells)
-		}
-		if err := checkTargets(t.what, t.tab, c.num); err != nil {
-			return bad("%v", err)
-		}
-	}
-	if c.dense {
-		retCells, ok := mul(c.num, cells)
-		if !ok || len(c.returnT) != retCells {
-			return bad("dense return table holds %d cells, want %d×%d×%d", len(c.returnT), c.num, c.num, c.syms)
-		}
-		if err := checkTargets("dense return", c.returnT, c.num); err != nil {
-			return bad("%v", err)
-		}
-	} else {
-		if len(c.sparseR.keys) != len(c.sparseR.vals) {
-			return bad("%d sparse return keys vs %d values", len(c.sparseR.keys), len(c.sparseR.vals))
-		}
-		if err := checkAscending(c.sparseR.keys); err != nil {
-			return bad("%v", err)
-		}
-		if err := checkTargets("sparse return", c.sparseR.vals, c.num); err != nil {
-			return bad("%v", err)
-		}
-	}
-	// Determinism/totality of the sink: every transition out of dead must
-	// land in dead.  Acceptance at the sink is legal — a complemented
-	// query (the DSL's "no x after y", or any "not") accepts exactly
-	// where the original automaton died, out-of-alphabet symbols
-	// included, which keeps the complement law not(Q) ≡ !Q exact — but
-	// it is worth surfacing, because on a never-negated query it usually
-	// means a corrupted accept mask.
+// vetSink checks the determinism/totality property the validator cannot
+// see: the designated dead state must be a sink, or the compiled automaton
+// silently resurrects rejected runs.
+func (c *Compiled) vetSink(rep *VetReport, name string) {
+	// Acceptance at the sink is legal — a complemented query (the DSL's
+	// "no x after y", or any "not") accepts exactly where the original
+	// automaton died, out-of-alphabet symbols included, which keeps the
+	// complement law not(Q) ≡ !Q exact — but it is worth surfacing, because
+	// on a never-negated query it usually means a corrupted accept mask.
 	dead := int(c.dead)
 	if c.accept[dead] {
 		rep.add(name, VetWarning, fmt.Sprintf("dead state %d is accepting (complemented query, or a corrupted accept mask)", dead))
@@ -461,7 +331,6 @@ func (c *Compiled) vetStructure(rep *VetReport, name string) bool {
 			rep.add(name, VetError, fmt.Sprintf("dead state %d returns to live state %d (not a sink)", dead, to))
 		}
 	})
-	return true
 }
 
 // eachReturnEdge enumerates the defined (non-dead-target) return transitions
@@ -490,101 +359,18 @@ func (c *Compiled) eachReturnEdge(f func(lin, hier, sym, to int)) {
 	}
 }
 
-// vetStructure re-verifies the CompiledN invariants the decoder enforces and
-// adds the cross-representation check the decoder cannot make: the
-// per-symbol bitmask slabs must agree, row by row and bit by bit, with the
-// CSR adjacency, because the bitset runner steps through the masks while the
-// return stitch enumerates the CSR — a disagreement makes the two halves of
-// one runner simulate different automata.
-func (c *CompiledN) vetStructure(rep *VetReport, name string) bool {
-	bad := func(msg string, args ...any) bool {
-		rep.add(name, VetError, fmt.Sprintf(msg, args...))
-		return false
-	}
-	if c.num < 1 || c.num > maxStates {
-		return bad("%d states outside [1, %d]", c.num, maxStates)
-	}
-	if c.syms < 1 || c.syms > maxSymbols {
-		return bad("%d symbol columns outside [1, %d]", c.syms, maxSymbols)
-	}
-	if c.alpha.Size()+1 != c.syms {
-		return bad("automaton compiled over %d symbols, alphabet has %d", c.syms-1, c.alpha.Size())
-	}
-	if len(c.accept) != c.num {
-		return bad("accept table holds %d states, automaton has %d", len(c.accept), c.num)
-	}
-	if err := checkTargets("start states", c.starts, c.num); err != nil {
-		return bad("%v", err)
-	}
-	cells, ok := mul(c.num, c.syms)
-	if !ok {
-		return bad("%d×%d transition cells overflow", c.num, c.syms)
-	}
-	if len(c.callHier) != len(c.callLin) {
-		return bad("%d call linear targets vs %d hierarchical", len(c.callLin), len(c.callHier))
-	}
-	if err := checkOffsets("call offsets", c.callOff, cells, len(c.callLin)); err != nil {
-		return bad("%v", err)
-	}
-	if err := checkTargets("call linear", c.callLin, c.num); err != nil {
-		return bad("%v", err)
-	}
-	if err := checkTargets("call hierarchical", c.callHier, c.num); err != nil {
-		return bad("%v", err)
-	}
-	if err := checkOffsets("internal offsets", c.intOff, cells, len(c.intTo)); err != nil {
-		return bad("%v", err)
-	}
-	if err := checkTargets("internal targets", c.intTo, c.num); err != nil {
-		return bad("%v", err)
-	}
-	if err := checkTargets("return targets", c.retTo, c.num); err != nil {
-		return bad("%v", err)
-	}
-	if c.dense {
-		retCells, ok := mul(c.num, cells)
-		if !ok {
-			return bad("dense return index for %d states overflows", c.num)
-		}
-		if err := checkOffsets("return offsets", c.retOff, retCells, len(c.retTo)); err != nil {
-			return bad("%v", err)
-		}
-	} else {
-		if err := checkAscending(c.retKeys); err != nil {
-			return bad("%v", err)
-		}
-		if err := checkOffsets("sparse return spans", c.retSpan, len(c.retKeys), len(c.retTo)); err != nil {
-			return bad("%v", err)
-		}
-	}
-	if c.w != bitset.Words(c.num) {
-		return bad("mask rows hold %d words, %d states need %d", c.w, c.num, bitset.Words(c.num))
-	}
-	slab, ok := mul(cells, c.w)
-	if !ok || len(c.intMask) != slab || len(c.callMask) != slab {
-		return bad("mask slabs hold %d/%d words, want %d", len(c.intMask), len(c.callMask), slab)
-	}
-	if err := checkMaskBits("internal mask", c.intMask, c.num, c.w); err != nil {
-		return bad("%v", err)
-	}
-	if err := checkMaskBits("call mask", c.callMask, c.num, c.w); err != nil {
-		return bad("%v", err)
-	}
-	// Start/accept rows must mirror the starts slice and accept table.
-	wantStart := bitset.New(c.num)
-	for _, q := range c.starts {
-		wantStart.Set(int(q))
-	}
-	wantAccept := bitset.New(c.num)
-	for q := 0; q < c.num; q++ {
-		if c.accept[q] {
-			wantAccept.Set(q)
-		}
-	}
-	if !c.startRow.Equal(wantStart) {
+// vetRows checks what CompiledN stores twice: the start/accept rows must
+// mirror the starts list and accept table, and the per-symbol bitmask slabs
+// must agree, row by row and bit by bit, with the CSR adjacency, because
+// the bitset runner steps through the masks while the return stitch
+// enumerates the CSR — a disagreement makes the two halves of one runner
+// simulate different automata.  It reports whether the masks agree, which
+// the semantic pass needs.
+func (c *CompiledN) vetRows(rep *VetReport, name string) bool {
+	if !c.startRow.Equal(packStateRow(c.num, c.starts)) {
 		rep.add(name, VetError, "start row disagrees with the start state list")
 	}
-	if !c.acceptRow.Equal(wantAccept) {
+	if !c.acceptRow.Equal(packAcceptRow(c.accept)) {
 		rep.add(name, VetError, "accept row disagrees with the accept table")
 	}
 	return c.vetMaskConsistency(rep, name)

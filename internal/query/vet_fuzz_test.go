@@ -36,6 +36,11 @@ func FuzzBundleVet(f *testing.F) {
 	tampered := CompileN(goldenNNWA())
 	tampered.maskRow(tampered.intMask, 0, 0).Unset(1)
 	seeds = append(seeds, tampered.Marshal())
+	// The sparse return forms, whose keys vet decomposes into states.
+	old := denseReturnLimit
+	denseReturnLimit = 1
+	seeds = append(seeds, Compile(WellFormed(alpha)).Marshal(), CompileN(goldenNNWA()).Marshal())
+	denseReturnLimit = old
 	for _, s := range seeds {
 		f.Add(s)
 		if len(s) > 40 {

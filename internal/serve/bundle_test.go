@@ -146,7 +146,7 @@ func TestBundleMatchesFreshCompilation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fut, err := pool.SubmitEvents(context.Background(), fmt.Sprintf("doc-%d", d), events)
+		fut, err := pool.SubmitSource(context.Background(), fmt.Sprintf("doc-%d", d), engine.Events(events))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,9 +8,8 @@
 // engine for its lifetime and holds one reusable interning tokenizer, so the
 // steady state serves documents with no per-document allocation beyond the
 // submission bookkeeping.  Incoming documents are routed to shards by the
-// FNV-1a hash of their ID — all submissions of one document ID serialize on
-// one shard, keeping per-document ordering — or round-robined under
-// AffinityNone for maximal balance when IDs are skewed.
+// FNV-1a hash of their ID, so all submissions of one document ID serialize
+// on one shard, keeping per-document ordering.
 //
 // Backpressure is a bounded queue per shard: Submit blocks once the target
 // shard's queue is full, which throttles the producer (typically a
@@ -29,7 +28,6 @@ package serve
 import (
 	"context"
 	"errors"
-	"fmt"
 	"hash/fnv"
 	"io"
 	"runtime"
@@ -53,37 +51,6 @@ var ErrClosed = errors.New("serve: pool closed")
 // overload signal — a network front-end maps it to 429 Too Many Requests
 // so load sheds at the edge instead of accumulating blocked handlers.
 var ErrQueueFull = errors.New("serve: shard queue full")
-
-// Affinity selects how documents are routed to shards.
-type Affinity int
-
-const (
-	// AffinityHash routes each document by the FNV-1a hash of its ID, so
-	// repeated submissions of one ID always serialize on the same shard.
-	AffinityHash Affinity = iota
-	// AffinityNone ignores IDs and round-robins documents across shards —
-	// the best balance when IDs are few or skewed.
-	AffinityNone
-)
-
-// String names the affinity the way the -affinity CLI flags spell it.
-func (a Affinity) String() string {
-	if a == AffinityNone {
-		return "none"
-	}
-	return "hash"
-}
-
-// ParseAffinity converts a CLI spelling ("hash" or "none") to an Affinity.
-func ParseAffinity(s string) (Affinity, error) {
-	switch s {
-	case "hash":
-		return AffinityHash, nil
-	case "none":
-		return AffinityNone, nil
-	}
-	return 0, fmt.Errorf("serve: unknown affinity %q (want \"hash\" or \"none\")", s)
-}
 
 // Result is the outcome of serving one document: the engine's per-query
 // verdict set, or the error that aborted the pass (tokenization failure,
@@ -167,11 +134,6 @@ func WithQueueDepth(n int) Option {
 	}
 }
 
-// WithAffinity selects the document-to-shard routing (default AffinityHash).
-func WithAffinity(a Affinity) Option {
-	return func(p *Pool) { p.affinity = a }
-}
-
 // WithOnResult installs a callback invoked on the shard worker for every
 // completed document, before the document's Future resolves.  It must be
 // safe for concurrent calls from different shards.
@@ -204,11 +166,9 @@ type Pool struct {
 	eng       *engine.Engine
 	numShards int
 	depth     int
-	affinity  Affinity
 	onResult  func(Result)
 
 	shards []chan job
-	rr     atomic.Uint64 // round-robin cursor for AffinityNone
 
 	mu     sync.RWMutex // guards the fields below against concurrent Submit/Close
 	closed bool         // guarded by mu
@@ -238,7 +198,6 @@ func NewPool(eng *engine.Engine, opts ...Option) (*Pool, error) {
 		eng:       eng,
 		numShards: runtime.GOMAXPROCS(0),
 		depth:     64,
-		affinity:  AffinityHash,
 	}
 	for _, o := range opts {
 		o(p)
@@ -279,9 +238,6 @@ func (p *Pool) Shards() int { return p.numShards }
 
 // QueueCap returns the bounded queue depth each shard was built with.
 func (p *Pool) QueueCap() int { return p.depth }
-
-// Affinity returns the document-to-shard routing the pool was built with.
-func (p *Pool) Affinity() Affinity { return p.affinity }
 
 // Stats snapshots the aggregate counters, the per-shard breakdown, and the
 // latency histogram.  It may be called while the pool is serving; the
@@ -347,20 +303,10 @@ func (p *Pool) TrySubmitSource(ctx context.Context, id string, src engine.EventS
 	return p.enqueue(job{id: id, ctx: ctx, src: src}, false)
 }
 
-// SubmitEvents queues an in-memory event slice as a document.
-func (p *Pool) SubmitEvents(ctx context.Context, id string, events []docstream.Event) (*Future, error) {
-	return p.enqueue(job{id: id, ctx: ctx, src: engine.Events(events)}, true)
-}
-
-// TrySubmitEvents is SubmitEvents with TrySubmit's fail-fast semantics:
-// ErrQueueFull instead of blocking when the target shard's queue is full.
-func (p *Pool) TrySubmitEvents(ctx context.Context, id string, events []docstream.Event) (*Future, error) {
-	return p.enqueue(job{id: id, ctx: ctx, src: engine.Events(events)}, false)
-}
-
+// route picks the shard for a document ID by its FNV-1a hash.
 func (p *Pool) route(id string) int {
-	if p.affinity == AffinityNone || len(p.shards) == 1 {
-		return int((p.rr.Add(1) - 1) % uint64(len(p.shards)))
+	if len(p.shards) == 1 {
+		return 0
 	}
 	h := fnv.New64a()
 	io.WriteString(h, id)
@@ -462,13 +408,9 @@ func (p *Pool) worker(shard int) {
 	defer p.eng.Release(ses)
 	// One tokenizer per shard, Reset per document: after the first document
 	// the tokenizer's buffered reader is reused, so reader-submitted
-	// documents tokenize allocation-free too.
-	var tok *docstream.Tokenizer
-	if alpha := p.eng.Alphabet(); alpha != nil {
-		tok = docstream.NewInterningTokenizer(nil, alpha)
-	} else {
-		tok = docstream.NewTokenizer(nil)
-	}
+	// documents tokenize allocation-free too.  NewPool refuses an engine
+	// with no queries, so the engine always has an alphabet.
+	tok := docstream.NewInterningTokenizer(nil, p.eng.Alphabet())
 	counters := &p.perShard[shard]
 	for j := range p.shards[shard] {
 		res := Result{ID: j.id, Shard: shard}

@@ -57,8 +57,8 @@ func randomEvents(rng *rand.Rand, size int) []docstream.Event {
 // TestPoolMatchesSerialEngine is the differential acceptance test: on 1200
 // random documents — streaming-generator documents and adversarial streams
 // with pending calls/returns and out-of-alphabet labels — the pool's verdict
-// sets must be identical to serial engine evaluation, for both affinities
-// and several shard counts.
+// sets must be identical to serial engine evaluation, for several shard
+// counts.
 func TestPoolMatchesSerialEngine(t *testing.T) {
 	eng := testEngine(t)
 	rng := rand.New(rand.NewSource(23))
@@ -91,46 +91,44 @@ func TestPoolMatchesSerialEngine(t *testing.T) {
 		serial[i] = r
 	}
 
-	for _, affinity := range []Affinity{AffinityHash, AffinityNone} {
-		for _, shards := range []int{1, 3, 8} {
-			pool, err := NewPool(eng, WithShards(shards), WithAffinity(affinity), WithQueueDepth(4))
+	for _, shards := range []int{1, 3, 8} {
+		pool, err := NewPool(eng, WithShards(shards), WithQueueDepth(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		futures := make([]*Future, docs)
+		for i, events := range corpus {
+			futures[i], err = pool.SubmitSource(context.Background(), fmt.Sprintf("doc-%d", i), engine.Events(events))
 			if err != nil {
 				t.Fatal(err)
 			}
-			futures := make([]*Future, docs)
-			for i, events := range corpus {
-				futures[i], err = pool.SubmitEvents(context.Background(), fmt.Sprintf("doc-%d", i), events)
-				if err != nil {
-					t.Fatal(err)
-				}
+		}
+		for i, f := range futures {
+			res, err := f.Wait(context.Background())
+			if err != nil {
+				t.Fatalf("shards=%d doc %d: %v", shards, i, err)
 			}
-			for i, f := range futures {
-				res, err := f.Wait(context.Background())
-				if err != nil {
-					t.Fatalf("affinity=%v shards=%d doc %d: %v", affinity, shards, i, err)
-				}
-				if got, want := res.Engine.Verdicts, serial[i].Verdicts; len(got) != len(want) {
-					t.Fatalf("doc %d: %d verdicts, want %d", i, len(got), len(want))
-				} else {
-					for q := range want {
-						if got[q] != want[q] {
-							t.Errorf("affinity=%v shards=%d doc %d query %d: pool %v, serial %v",
-								affinity, shards, i, q, got[q], want[q])
-						}
+			if got, want := res.Engine.Verdicts, serial[i].Verdicts; len(got) != len(want) {
+				t.Fatalf("doc %d: %d verdicts, want %d", i, len(got), len(want))
+			} else {
+				for q := range want {
+					if got[q] != want[q] {
+						t.Errorf("shards=%d doc %d query %d: pool %v, serial %v",
+							shards, i, q, got[q], want[q])
 					}
 				}
-				if res.Engine.Events != serial[i].Events || res.Engine.MaxDepth != serial[i].MaxDepth {
-					t.Errorf("doc %d: pool events/depth %d/%d, serial %d/%d",
-						i, res.Engine.Events, res.Engine.MaxDepth, serial[i].Events, serial[i].MaxDepth)
-				}
 			}
-			st := pool.Stats()
-			if st.Served != docs || st.Failed != 0 {
-				t.Errorf("stats: served %d failed %d, want %d/0", st.Served, st.Failed, docs)
+			if res.Engine.Events != serial[i].Events || res.Engine.MaxDepth != serial[i].MaxDepth {
+				t.Errorf("doc %d: pool events/depth %d/%d, serial %d/%d",
+					i, res.Engine.Events, res.Engine.MaxDepth, serial[i].Events, serial[i].MaxDepth)
 			}
-			if err := pool.Close(); err != nil {
-				t.Fatal(err)
-			}
+		}
+		st := pool.Stats()
+		if st.Served != docs || st.Failed != 0 {
+			t.Errorf("stats: served %d failed %d, want %d/0", st.Served, st.Failed, docs)
+		}
+		if err := pool.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -193,7 +191,7 @@ func TestPoolServesNNWAQuery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fut, err := pool.SubmitEvents(context.Background(), fmt.Sprintf("doc-%d", d), events)
+		fut, err := pool.SubmitSource(context.Background(), fmt.Sprintf("doc-%d", d), engine.Events(events))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -311,7 +309,7 @@ func TestPoolContextCancellation(t *testing.T) {
 
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	f, err := pool.SubmitEvents(cancelled, "pre-cancelled", nil)
+	f, err := pool.SubmitSource(cancelled, "pre-cancelled", engine.Events(nil))
 	if err != nil {
 		// The queue had room, so the send raced the cancellation; either
 		// outcome is allowed, but an accepted job must fail at the worker.
@@ -364,7 +362,7 @@ func TestPoolCloseDrains(t *testing.T) {
 	}
 	const docs = 200
 	for i := 0; i < docs; i++ {
-		if _, err := pool.SubmitEvents(context.Background(), fmt.Sprintf("d%d", i), randomEvents(rand.New(rand.NewSource(int64(i))), 50)); err != nil {
+		if _, err := pool.SubmitSource(context.Background(), fmt.Sprintf("d%d", i), engine.Events(randomEvents(rand.New(rand.NewSource(int64(i))), 50))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -377,7 +375,7 @@ func TestPoolCloseDrains(t *testing.T) {
 	if st := pool.Stats(); st.Served != docs {
 		t.Fatalf("served %d, want %d", st.Served, docs)
 	}
-	if _, err := pool.SubmitEvents(context.Background(), "late", nil); !errors.Is(err, ErrClosed) {
+	if _, err := pool.SubmitSource(context.Background(), "late", engine.Events(nil)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("submit after close: %v, want ErrClosed", err)
 	}
 	if err := pool.Close(); err != nil {
@@ -389,35 +387,28 @@ func TestPoolCloseDrains(t *testing.T) {
 }
 
 // TestPoolHashAffinitySticksToShard checks that one document ID always
-// lands on one shard under AffinityHash, and that AffinityNone spreads a
-// single ID across shards.
+// lands on one shard.
 func TestPoolHashAffinitySticksToShard(t *testing.T) {
 	eng := testEngine(t)
-	run := func(a Affinity) map[int]bool {
-		var mu sync.Mutex
-		shards := map[int]bool{}
-		pool, err := NewPool(eng, WithShards(4), WithAffinity(a),
-			WithOnResult(func(r Result) {
-				mu.Lock()
-				shards[r.Shard] = true
-				mu.Unlock()
-			}))
-		if err != nil {
+	var mu sync.Mutex
+	shards := map[int]bool{}
+	pool, err := NewPool(eng, WithShards(4),
+		WithOnResult(func(r Result) {
+			mu.Lock()
+			shards[r.Shard] = true
+			mu.Unlock()
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 64; i++ {
+		if _, err := pool.SubmitSource(context.Background(), "same-id", engine.Events(nil)); err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 64; i++ {
-			if _, err := pool.SubmitEvents(context.Background(), "same-id", nil); err != nil {
-				t.Fatal(err)
-			}
-		}
-		pool.Close()
-		return shards
 	}
-	if got := run(AffinityHash); len(got) != 1 {
-		t.Errorf("AffinityHash: one ID hit %d shards, want 1", len(got))
-	}
-	if got := run(AffinityNone); len(got) != 4 {
-		t.Errorf("AffinityNone: 64 submissions hit %d of 4 shards", len(got))
+	pool.Close()
+	if len(shards) != 1 {
+		t.Errorf("one ID hit %d shards, want 1", len(shards))
 	}
 }
 
@@ -437,7 +428,7 @@ func TestPoolConcurrentSubmitters(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(g)))
 			for i := 0; i < perSubmitter; i++ {
-				f, err := pool.SubmitEvents(context.Background(), fmt.Sprintf("g%d-%d", g, i), randomEvents(rng, 30))
+				f, err := pool.SubmitSource(context.Background(), fmt.Sprintf("g%d-%d", g, i), engine.Events(randomEvents(rng, 30)))
 				if err != nil {
 					t.Error(err)
 					return
@@ -455,19 +446,6 @@ func TestPoolConcurrentSubmitters(t *testing.T) {
 	}
 	if err := pool.Close(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestParseAffinity covers the CLI spelling round-trip.
-func TestParseAffinity(t *testing.T) {
-	for _, a := range []Affinity{AffinityHash, AffinityNone} {
-		got, err := ParseAffinity(a.String())
-		if err != nil || got != a {
-			t.Errorf("ParseAffinity(%q) = %v, %v", a.String(), got, err)
-		}
-	}
-	if _, err := ParseAffinity("bogus"); err == nil {
-		t.Error("ParseAffinity(bogus): want error")
 	}
 }
 

@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"repro/internal/engine"
 )
 
 // TestTrySubmitQueueFull pins the two submit-error paths an HTTP front-end
@@ -34,8 +36,8 @@ func TestTrySubmitQueueFull(t *testing.T) {
 	if _, err := pool.TrySubmit(context.Background(), "overflow", nil); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("TrySubmit on a full queue: %v, want ErrQueueFull", err)
 	}
-	if _, err := pool.TrySubmitEvents(context.Background(), "overflow-events", nil); !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("TrySubmitEvents on a full queue: %v, want ErrQueueFull", err)
+	if _, err := pool.TrySubmitSource(context.Background(), "overflow-source", engine.Events(nil)); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("TrySubmitSource on a full queue: %v, want ErrQueueFull", err)
 	}
 	if got := pool.Stats().Rejected; got != 2 {
 		t.Fatalf("Stats().Rejected = %d, want 2", got)
@@ -55,8 +57,8 @@ func TestTrySubmitQueueFull(t *testing.T) {
 	if _, err := pool.TrySubmit(context.Background(), "late", nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("TrySubmit after close: %v, want ErrClosed", err)
 	}
-	if _, err := pool.TrySubmitEvents(context.Background(), "late", nil); !errors.Is(err, ErrClosed) {
-		t.Fatalf("TrySubmitEvents after close: %v, want ErrClosed", err)
+	if _, err := pool.TrySubmitSource(context.Background(), "late", engine.Events(nil)); !errors.Is(err, ErrClosed) {
+		t.Fatalf("TrySubmitSource after close: %v, want ErrClosed", err)
 	}
 	if _, err := pool.Submit(context.Background(), "late", nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Submit after close: %v, want ErrClosed", err)
@@ -82,7 +84,7 @@ func TestTrySubmitServes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f, err := pool.TrySubmitEvents(context.Background(), fmt.Sprintf("doc-%d", i), events)
+		f, err := pool.TrySubmitSource(context.Background(), fmt.Sprintf("doc-%d", i), engine.Events(events))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,15 +106,18 @@ func TestTrySubmitServes(t *testing.T) {
 // quantiles.
 func TestStatsShardsAndLatency(t *testing.T) {
 	eng := testEngine(t)
-	pool, err := NewPool(eng, WithShards(3), WithQueueDepth(16), WithAffinity(AffinityNone))
+	pool, err := NewPool(eng, WithShards(3), WithQueueDepth(16))
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(9))
 	const docs = 90
 	var futures []*Future
+	perShard := make([]int64, 3) // what hash routing sends each shard
 	for i := 0; i < docs; i++ {
-		f, err := pool.SubmitEvents(context.Background(), fmt.Sprintf("doc-%d", i), randomEvents(rng, 100))
+		id := fmt.Sprintf("doc-%d", i)
+		perShard[pool.route(id)]++
+		f, err := pool.SubmitSource(context.Background(), id, engine.Events(randomEvents(rng, 100)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,10 +152,10 @@ func TestStatsShardsAndLatency(t *testing.T) {
 	if served != st.Served || events != st.Events {
 		t.Errorf("per-shard sums served=%d events=%d, aggregate %d/%d", served, events, st.Served, st.Events)
 	}
-	// Round-robin over 3 shards: every shard saw exactly a third.
+	// Every shard served exactly the documents its IDs hash to.
 	for i, sh := range st.Shards {
-		if sh.Served != docs/3 {
-			t.Errorf("shard %d served %d, want %d under round-robin", i, sh.Served, docs/3)
+		if sh.Served != perShard[i] {
+			t.Errorf("shard %d served %d, want %d by ID hash", i, sh.Served, perShard[i])
 		}
 	}
 	lat := st.Latency
@@ -198,7 +203,7 @@ func TestStatsCanceledCounter(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	f, err := pool.SubmitEvents(ctx, "doomed", nil)
+	f, err := pool.SubmitSource(ctx, "doomed", engine.Events(nil))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -271,3 +271,46 @@ func TestAdapterHTTPAgreesWithSerial(t *testing.T) {
 		t.Errorf("unknown format: status %d, want 400", resp.StatusCode)
 	}
 }
+
+// TestAdapterOversizedBody: a ?format=xml|json|trace body past MaxBodyBytes
+// is refused with 413 on the adapter path, exactly as a native body is,
+// while a body of the same format under the cap is served.
+func TestAdapterOversizedBody(t *testing.T) {
+	const limit = 512
+	_, ts := testServer(t, Config{BundlePath: writeAdapterBundle(t), Shards: 1, MaxBodyBytes: limit})
+	grow := func(open, item, close string) (small, big string) {
+		small = open + item + close
+		big = open + strings.Repeat(item, 2*limit/len(item)) + close
+		return small, big
+	}
+	for _, tc := range []struct {
+		format            string
+		open, item, close string
+	}{
+		{"xml", "<library>", "<book><title>t</title></book>", "</library>"},
+		{"json", `{"library": [`, `{"title": "t"}, `, `null]}`},
+		{"trace", "enter main\n", "read 1\n", "exit main\n"},
+	} {
+		small, big := grow(tc.open, tc.item, tc.close)
+		for _, body := range []struct {
+			doc  string
+			want int
+		}{{small, http.StatusOK}, {big, http.StatusRequestEntityTooLarge}} {
+			resp, err := ts.Client().Post(ts.URL+"/v1/documents?id=big&format="+tc.format,
+				"application/octet-stream", strings.NewReader(body.doc))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var e errorBody
+			err = json.NewDecoder(resp.Body).Decode(&e)
+			resp.Body.Close()
+			if resp.StatusCode != body.want {
+				t.Errorf("%s, %d-byte body: status %d (%q), want %d",
+					tc.format, len(body.doc), resp.StatusCode, e.Error, body.want)
+			}
+			if body.want != http.StatusOK && (err != nil || e.Error == "") {
+				t.Errorf("%s, %d-byte body: no error envelope (%v)", tc.format, len(body.doc), err)
+			}
+		}
+	}
+}

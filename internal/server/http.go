@@ -38,7 +38,6 @@ type Status struct {
 	BundleInfo    BundleInfo  `json:"bundle_info"`
 	Shards        int         `json:"shards"`
 	QueueCap      int         `json:"queue_cap"`
-	Affinity      string      `json:"affinity"`
 	UptimeSec     float64     `json:"uptime_sec"`
 	Reloads       int64       `json:"reloads"`
 	EventsPerSec  float64     `json:"events_per_sec"`
@@ -145,7 +144,7 @@ func (st *poolState) result(res serve.Result) DocumentResult {
 // document in the XML-like syntax — or, with ?format=xml|json|trace, in
 // that real input format, decoded through the matching internal/adapter
 // event source interned against the active generation's alphabet — the
-// optional ?id= names it for shard affinity, and the response is its
+// optional ?id= names it for shard routing, and the response is its
 // DocumentResult.  Submission is fail-fast (TrySubmit/TrySubmitSource): a
 // full shard queue answers 429 immediately instead of parking the handler
 // goroutine — per-request backpressure belongs to the batch endpoint.
@@ -380,7 +379,6 @@ func (s *Server) status() (Status, error) {
 		BundleInfo:    st.info,
 		Shards:        st.pool.Shards(),
 		QueueCap:      st.pool.QueueCap(),
-		Affinity:      st.pool.Affinity().String(),
 		UptimeSec:     time.Since(s.start).Seconds(),
 		Reloads:       s.reloads.Load(),
 		EventsPerSec:  s.rates.observe(time.Now(), stats.Events),

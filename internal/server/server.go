@@ -60,8 +60,6 @@ type Config struct {
 	// QueueDepth bounds each shard's submission queue; 0 means the serve
 	// default (64).
 	QueueDepth int
-	// Affinity selects document-to-shard routing (default AffinityHash).
-	Affinity serve.Affinity
 	// MaxBodyBytes caps a single document body; 0 means 8 MiB.
 	MaxBodyBytes int64
 }
@@ -181,7 +179,7 @@ func (s *Server) load(gen int64) (*poolState, error) {
 			return nil, fmt.Errorf("server: verify bundle signature: %w", err)
 		}
 	}
-	opts := []serve.Option{serve.WithAffinity(s.cfg.Affinity)}
+	var opts []serve.Option
 	if s.cfg.Shards > 0 {
 		opts = append(opts, serve.WithShards(s.cfg.Shards))
 	}
