@@ -15,24 +15,69 @@ import (
 
 // Alphabet is an immutable, ordered finite set of symbols.  The zero value
 // is the empty alphabet.
+//
+// Lookups go through an open-addressed hash table built once by New: a
+// symbol hashes by FNV-1a over all its bytes, the table is kept at most
+// half full, a label longer than the longest symbol misses without a
+// probe, and a probe ends at an empty slot or a full string compare.  The
+// []byte form (IndexBytes) allocates nothing.  The hash reads every byte
+// because labels of one family ("item000" … "item999") often differ in
+// a few positions only: a hash of sampled bytes collapses such a family
+// onto a handful of probe chains.
 type Alphabet struct {
 	symbols []string
-	index   map[string]int
+	slots   []int32 // power-of-two hash table of symbol index + 1; 0 is empty
+	maxLen  int     // longest symbol, so longer labels miss without a probe
 }
 
 // New builds an alphabet from the given symbols.  Duplicates are collapsed
 // (keeping the first occurrence's position); the order of first occurrence
 // is the index order.
 func New(symbols ...string) *Alphabet {
-	a := &Alphabet{index: make(map[string]int, len(symbols))}
+	size := 2
+	for size < 2*len(symbols) {
+		size *= 2
+	}
+	a := &Alphabet{slots: make([]int32, size)}
 	for _, s := range symbols {
-		if _, ok := a.index[s]; ok {
+		if _, ok := lookup(a, s); ok {
 			continue
 		}
-		a.index[s] = len(a.symbols)
+		i := probe(a, s)
+		for a.slots[i] != 0 {
+			i = (i + 1) & uint32(size-1)
+		}
 		a.symbols = append(a.symbols, s)
+		a.slots[i] = int32(len(a.symbols))
+		a.maxLen = max(a.maxLen, len(s))
 	}
 	return a
+}
+
+// probe returns the home slot of s: its FNV-1a hash.
+func probe[S string | []byte](a *Alphabet, s S) uint32 {
+	h := uint32(2166136261)
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint32(s[i])) * 16777619
+	}
+	return h & uint32(len(a.slots)-1)
+}
+
+// lookup finds s in the hash table.
+func lookup[S string | []byte](a *Alphabet, s S) (int, bool) {
+	if len(s) > a.maxLen || len(a.slots) == 0 {
+		return 0, false
+	}
+	mask := uint32(len(a.slots) - 1)
+	for i := probe(a, s); ; i = (i + 1) & mask {
+		e := a.slots[i]
+		if e == 0 {
+			return 0, false
+		}
+		if string(s) == a.symbols[e-1] {
+			return int(e - 1), true
+		}
+	}
 }
 
 // Size returns |Σ|.
@@ -47,26 +92,19 @@ func (a *Alphabet) Symbol(i int) string { return a.symbols[i] }
 
 // Index returns the index of the symbol and whether it belongs to the
 // alphabet.
-func (a *Alphabet) Index(sym string) (int, bool) {
-	i, ok := a.index[sym]
-	return i, ok
-}
+func (a *Alphabet) Index(sym string) (int, bool) { return lookup(a, sym) }
 
 // IndexBytes returns the index of the symbol spelled by b and whether it
-// belongs to the alphabet.  The map lookup is keyed by string(b) in the
-// form the compiler compiles without materializing the string, so hot
-// tokenizing loops can intern a scratch buffer allocation-free; pair a hit
-// with Symbol(i) to obtain a canonical string for the label.
-func (a *Alphabet) IndexBytes(b []byte) (int, bool) {
-	i, ok := a.index[string(b)]
-	return i, ok
-}
+// belongs to the alphabet, without allocating, so hot tokenizing loops can
+// intern a view into their read buffer; pair a hit with Symbol(i) to obtain
+// a canonical string for the label.
+func (a *Alphabet) IndexBytes(b []byte) (int, bool) { return lookup(a, b) }
 
 // MustIndex returns the index of the symbol and panics when the symbol is
 // not part of the alphabet.  It is intended for code paths where membership
 // has already been validated.
 func (a *Alphabet) MustIndex(sym string) int {
-	i, ok := a.index[sym]
+	i, ok := lookup(a, sym)
 	if !ok {
 		panic(fmt.Sprintf("alphabet: symbol %q not in alphabet {%s}", sym, strings.Join(a.symbols, ",")))
 	}
@@ -75,7 +113,7 @@ func (a *Alphabet) MustIndex(sym string) int {
 
 // Contains reports whether the symbol belongs to the alphabet.
 func (a *Alphabet) Contains(sym string) bool {
-	_, ok := a.index[sym]
+	_, ok := lookup(a, sym)
 	return ok
 }
 

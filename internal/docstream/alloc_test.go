@@ -2,6 +2,7 @@ package docstream
 
 import (
 	"io"
+	"slices"
 	"strings"
 	"testing"
 
@@ -44,5 +45,38 @@ func TestTokenizerRetokenizeZeroAlloc(t *testing.T) {
 	}
 	if tokErr != nil {
 		t.Fatal(tokErr)
+	}
+}
+
+// TestResetDropsOversizedWindow pins the memory bound of a long-lived
+// tokenizer: a document made of one 1 MiB token grows the window to hold
+// it, and the next Reset drops the window back to its default size instead
+// of pinning a megabyte per shard for the life of the process.
+func TestResetDropsOversizedWindow(t *testing.T) {
+	huge := strings.Repeat("x", 1<<20)
+	tk := NewInterningTokenizer(strings.NewReader("<a> "+huge+" </a>"), alphabet.New("a"))
+	var labels []int
+	for {
+		e, err := tk.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		labels = append(labels, len(e.Label))
+	}
+	if want := []int{1, 1 << 20, 1}; !slices.Equal(labels, want) {
+		t.Fatalf("label lengths %v, want %v", labels, want)
+	}
+	if len(tk.buf) < 1<<20 {
+		t.Fatalf("window is %d bytes after a 1 MiB token; want it grown to hold the token", len(tk.buf))
+	}
+	tk.Reset(strings.NewReader("<a> b </a>"))
+	if len(tk.buf) != windowSize {
+		t.Fatalf("window is %d bytes after Reset, want %d", len(tk.buf), windowSize)
+	}
+	if e, err := tk.Next(); err != nil || e.Label != "a" {
+		t.Fatalf("after Reset: Next = %+v, %v", e, err)
 	}
 }

@@ -7,7 +7,6 @@
 package docstream
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
 	"io"
@@ -104,29 +103,71 @@ func InternBytes(kind nestedword.Kind, name []byte, alpha *alphabet.Alphabet) Ev
 // Attributes, comments, and character escaping are intentionally out of scope
 // — the point is the event stream, not XML conformance.
 //
-// The tokenizer never buffers more than one token, so a document of any
-// length streams through it in constant memory; combined with a streaming
-// runner or the engine package this realizes the paper's single-pass,
-// depth-bounded evaluation claim end to end.  An interning tokenizer goes
-// further: tokens are spelled into a reused scratch buffer and looked up
-// allocation-free (alphabet.IndexBytes), and in-alphabet labels reuse the
-// alphabet's canonical strings, so retokenizing documents whose labels the
-// queries know costs zero allocations per token after the first document
-// (the claim pinned by the hotpath-alloc analyzer and the AllocsPerRun
-// regression tests; labels outside the alphabet still materialize one
-// string each).
+// The tokenizer scans a byte window it refills from the reader.  The window
+// starts at 4 KiB and grows only when a single token outgrows it, so a
+// document of any length streams through in memory bounded by its longest
+// token; combined with the engine package this realizes the paper's
+// single-pass, depth-bounded evaluation claim end to end.  The scan works on
+// bytes: ASCII bytes are classified by table and '>' is found with
+// bytes.IndexByte, and only bytes ≥ 0x80 are decoded as runes, so Unicode
+// whitespace such as U+00A0 still separates tokens.  A token holding
+// invalid UTF-8 is rewritten with one U+FFFD per bad byte.
+//
+// Labels are looked up as views into the window (alphabet.IndexBytes), and
+// in-alphabet labels reuse the alphabet's canonical strings, so an
+// interning tokenizer retokenizes documents whose labels the queries know
+// at zero allocations per token after the first document (the claim
+// pinned by the hotpath-alloc analyzer and the AllocsPerRun regression
+// tests; labels outside the alphabet still materialize one string each).
 type Tokenizer struct {
-	r     *bufio.Reader
-	tok   []byte // scratch for the token currently being read, reused across tokens
+	r     io.Reader
+	buf   []byte // the window: buf[pos:end] is read but not yet consumed
+	pos   int
+	end   int
+	rerr  error  // read error waiting behind the buffered bytes
+	tok   []byte // scratch for tokens rewritten with U+FFFD, reused across tokens
 	err   error  // sticky error (io.EOF after the last token)
 	alpha *alphabet.Alphabet
 }
+
+const (
+	// windowSize is the window a tokenizer starts with.
+	windowSize = 4096
+	// maxKeptWindow is the largest window (or rewrite scratch) Reset keeps:
+	// one huge token grows the window, and Reset drops it back to
+	// windowSize so a long-lived tokenizer does not pin it.
+	maxKeptWindow = 64 << 10
+	// maxEmptyReads is how many reads returning neither bytes nor an error
+	// fill accepts in a row before failing with io.ErrNoProgress, as
+	// bufio.Reader does.
+	maxEmptyReads = 100
+)
+
+// Byte classes of the scan.  A text token runs over classText bytes and
+// decoded non-space runes; classSpace and classOpen bytes end it.
+const (
+	classText  = iota // any other ASCII byte
+	classSpace        // ASCII whitespace
+	classOpen         // '<'
+	classHigh         // ≥ 0x80: part of a multi-byte rune, or invalid
+)
+
+var byteClass = func() (c [256]uint8) {
+	for b := 0x80; b < 0x100; b++ {
+		c[b] = classHigh
+	}
+	for _, b := range []byte{'\t', '\n', '\v', '\f', '\r', ' '} {
+		c[b] = classSpace
+	}
+	c['<'] = classOpen
+	return c
+}()
 
 // NewTokenizer returns a tokenizer reading from r.  Its events are not
 // interned (Event.Sym stays 0); use NewInterningTokenizer when the query
 // alphabet is known up front.
 func NewTokenizer(r io.Reader) *Tokenizer {
-	return &Tokenizer{r: bufio.NewReader(r)}
+	return NewInterningTokenizer(r, nil)
 }
 
 // NewInterningTokenizer returns a tokenizer that additionally resolves every
@@ -134,24 +175,28 @@ func NewTokenizer(r io.Reader) *Tokenizer {
 // compiled symbol ID (labels outside alpha get the dedicated out-of-alphabet
 // ID).  This pushes symbol interning to the edge of the pipeline: downstream
 // compiled runners index their transition tables directly and never look a
-// string up again.
+// string up again.  A nil alpha yields uninterned events, as NewTokenizer.
 func NewInterningTokenizer(r io.Reader, alpha *alphabet.Alphabet) *Tokenizer {
-	return &Tokenizer{r: bufio.NewReader(r), alpha: alpha}
+	return &Tokenizer{r: r, buf: make([]byte, windowSize), alpha: alpha}
 }
 
 // Reset repoints the tokenizer at a new input, clearing any sticky error
-// while keeping its buffered-reader allocation and alphabet binding.  A
-// long-lived consumer serving one document after another — a serve.Pool
-// shard worker holds exactly one interning tokenizer — tokenizes every
-// document allocation-free after the first.
+// while keeping its window and alphabet binding.  A long-lived consumer
+// serving one document after another — a serve.Pool shard worker holds
+// exactly one interning tokenizer — tokenizes every document
+// allocation-free after the first.  A window that one oversized token grew
+// past 64 KiB is dropped back to the 4 KiB default here, so such a
+// document does not pin its size for the life of the tokenizer.
 func (t *Tokenizer) Reset(r io.Reader) {
-	if t.r == nil {
-		t.r = bufio.NewReader(r)
-	} else {
-		t.r.Reset(r)
+	if t.buf == nil || len(t.buf) > maxKeptWindow {
+		t.buf = make([]byte, windowSize)
 	}
-	t.err = nil
-	t.tok = t.tok[:0]
+	if cap(t.tok) > maxKeptWindow {
+		t.tok = nil
+	}
+	t.r = r
+	t.pos, t.end = 0, 0
+	t.rerr, t.err = nil, nil
 }
 
 // Next returns the next event.  At the end of the input it returns io.EOF;
@@ -171,85 +216,176 @@ func (t *Tokenizer) Next() (Event, error) {
 	return e, nil
 }
 
-// emit builds the event for a token spelled in name (a view into the scratch
-// buffer) via the shared InternBytes mapping, so tokenizer and adapter
-// streams agree symbol-for-symbol on out-of-alphabet labels.
-func (t *Tokenizer) emit(kind nestedword.Kind, name []byte) Event {
-	return InternBytes(kind, name, t.alpha)
-}
-
 //nwvet:hotpath
 func (t *Tokenizer) next() (Event, error) {
-	// Skip inter-token whitespace, decoding full runes so multi-byte
-	// whitespace such as U+00A0 is recognized instead of being misread
-	// byte by byte.
-	var c rune
+	// Skip inter-token whitespace.  Only a byte ≥ 0x80 is decoded, so
+	// multi-byte whitespace such as U+00A0 is recognized as well.
 	for {
-		var err error
-		c, _, err = t.r.ReadRune()
-		if err != nil {
-			return Event{}, err // io.EOF here is the clean end of the stream
+		w := t.buf[t.pos:t.end]
+		i := 0
+		for i < len(w) && byteClass[w[i]] == classSpace {
+			i++
 		}
-		if !unicode.IsSpace(c) {
-			break
+		t.pos += i
+		if i == len(w) {
+			if !t.fill() {
+				return Event{}, t.takeErr() // io.EOF here is the clean end of the stream
+			}
+			continue
 		}
+		switch byteClass[w[i]] {
+		case classOpen:
+			return t.readTag()
+		case classHigh:
+			if r, size := t.decodeAt(0); unicode.IsSpace(r) {
+				t.pos += size
+				continue
+			}
+		}
+		return t.readText()
 	}
-	if c == '<' {
-		return t.readTag()
-	}
-	// Text token: runs until whitespace, '<', or the end of the input.
-	t.tok = utf8.AppendRune(t.tok[:0], c)
+}
+
+// readText consumes a text token starting at t.pos: it runs until
+// whitespace, '<', or the end of the input.
+//
+//nwvet:hotpath
+func (t *Tokenizer) readText() (Event, error) {
+	i, bad := 0, false // bytes scanned past t.pos; whether any decoded as U+FFFD
 	for {
-		c, _, err := t.r.ReadRune()
-		if err == io.EOF {
-			break
+		w := t.buf[t.pos:t.end]
+		for i < len(w) && byteClass[w[i]] == classText {
+			i++
 		}
-		if err != nil {
-			return Event{}, err
+		if i < len(w) {
+			if byteClass[w[i]] != classHigh {
+				break // whitespace or '<'
+			}
+			r, size := t.decodeAt(i)
+			if unicode.IsSpace(r) {
+				break
+			}
+			bad = bad || size == 1
+			i += size
+			continue
 		}
-		if c == '<' {
-			if err := t.r.UnreadRune(); err != nil {
+		if !t.fill() {
+			if err := t.takeErr(); err != io.EOF {
 				return Event{}, err
 			}
 			break
 		}
-		if unicode.IsSpace(c) {
-			break
-		}
-		t.tok = utf8.AppendRune(t.tok, c)
 	}
-	return t.emit(nestedword.Internal, t.tok), nil
+	name := t.buf[t.pos : t.pos+i]
+	t.pos += i
+	if bad {
+		name = t.rewrite(name)
+	}
+	return InternBytes(nestedword.Internal, name, t.alpha), nil
 }
 
-// readTag consumes a tag whose '<' has already been read.
+// readTag consumes a tag starting at t.pos, where the window holds '<'.
 func (t *Tokenizer) readTag() (Event, error) {
-	t.tok = t.tok[:0]
+	i := 1 // bytes of the tag scanned past t.pos
 	for {
-		c, _, err := t.r.ReadRune()
-		if err == io.EOF {
-			return Event{}, fmt.Errorf("docstream: unterminated tag in %q", truncate("<"+string(t.tok)))
-		}
-		if err != nil {
-			return Event{}, err
-		}
-		if c == '>' {
+		if j := bytes.IndexByte(t.buf[t.pos+i:t.end], '>'); j >= 0 {
+			i += j
 			break
 		}
-		t.tok = utf8.AppendRune(t.tok, c)
+		i = t.end - t.pos
+		if !t.fill() {
+			err := t.takeErr()
+			if err == io.EOF {
+				tag := t.rewrite(t.buf[t.pos+1 : t.end])
+				return Event{}, fmt.Errorf("docstream: unterminated tag in %q", truncate("<"+string(tag)))
+			}
+			return Event{}, err
+		}
 	}
-	tag := t.tok
+	tag := t.buf[t.pos+1 : t.pos+i]
+	t.pos += i + 1
+	if !utf8.Valid(tag) {
+		tag = t.rewrite(tag)
+	}
 	if len(tag) > 0 && tag[0] == '/' {
 		name := bytes.TrimSpace(tag[1:])
 		if len(name) == 0 {
 			return Event{}, fmt.Errorf("docstream: empty closing tag")
 		}
-		return t.emit(nestedword.Return, name), nil
+		return InternBytes(nestedword.Return, name, t.alpha), nil
 	}
 	name := bytes.TrimSpace(tag)
 	if len(name) == 0 {
 		return Event{}, fmt.Errorf("docstream: empty opening tag")
 	}
-	return t.emit(nestedword.Call, name), nil
+	return InternBytes(nestedword.Call, name, t.alpha), nil
+}
+
+// decodeAt decodes the rune starting i bytes past t.pos.  While the window
+// ends inside that rune it reads more input first, so a rune split across
+// reads decodes whole; one cut short by the end of the input or a read
+// error decodes as U+FFFD, one byte at a time — as bufio.Reader.ReadRune
+// does.
+func (t *Tokenizer) decodeAt(i int) (rune, int) {
+	for !utf8.FullRune(t.buf[t.pos+i:t.end]) && t.fill() {
+	}
+	return utf8.DecodeRune(t.buf[t.pos+i : t.end])
+}
+
+// rewrite copies b into the scratch buffer rune by rune, each invalid byte
+// becoming one U+FFFD, and returns the copy.
+func (t *Tokenizer) rewrite(b []byte) []byte {
+	t.tok = t.tok[:0]
+	for len(b) > 0 {
+		r, size := utf8.DecodeRune(b)
+		t.tok = utf8.AppendRune(t.tok, r)
+		b = b[size:]
+	}
+	return t.tok
+}
+
+// fill reads more input into the window.  The unconsumed bytes — the token
+// in progress, if any — move to the front first, and the window doubles
+// only when that token already fills it.  fill reports whether new bytes
+// arrived; when none did, the read error that stopped it waits in t.rerr
+// until takeErr hands it out.
+func (t *Tokenizer) fill() bool {
+	if t.rerr != nil {
+		return false
+	}
+	if t.pos > 0 {
+		t.end = copy(t.buf, t.buf[t.pos:t.end])
+		t.pos = 0
+	}
+	if t.end == len(t.buf) {
+		grown := make([]byte, 2*len(t.buf))
+		copy(grown, t.buf[:t.end])
+		t.buf = grown
+	}
+	for range maxEmptyReads {
+		n, err := t.r.Read(t.buf[t.end:])
+		if n < 0 || n > len(t.buf)-t.end {
+			panic("docstream: reader returned an invalid byte count")
+		}
+		t.end += n
+		if err != nil {
+			t.rerr = err
+			return n > 0
+		}
+		if n > 0 {
+			return true
+		}
+	}
+	t.rerr = io.ErrNoProgress
+	return false
+}
+
+// takeErr hands out the pending read error and clears it, so — as with
+// bufio.Reader — the next fill reads again.
+func (t *Tokenizer) takeErr() error {
+	err := t.rerr
+	t.rerr = nil
+	return err
 }
 
 // Tokenize parses a whole document into its event slice.  It is a thin

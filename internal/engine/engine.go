@@ -12,8 +12,9 @@
 // cluster a wider one, and a Session holds one query.ProductRunner per
 // group.  Events read from the source are interned once against the
 // engine's shared alphabet and fanned out to every runner in fixed-size
-// batches, so each query observes the same single pass, no runner ever
-// hashes a label, and the stream is never materialized; total memory is
+// batches — one ProductRunner.StepEvents call per runner per batch — so
+// each query observes the same single pass, no runner ever hashes a label,
+// and the stream is never materialized; total memory is
 // O(depth · N) plus one constant-size batch buffer, independent of the
 // document length.
 //
@@ -281,26 +282,9 @@ func (s *Session) Feed(e docstream.Event) {
 	}
 }
 
-// feedRunner replays the interned batch into one runner.
-//
-//nwvet:hotpath
-func feedRunner(r query.ProductRunner, batch []docstream.Event) {
-	for _, e := range batch {
-		sym := e.Sym - 1
-		switch e.Kind {
-		case nestedword.Call:
-			r.StepCall(sym)
-		case nestedword.Return:
-			r.StepReturn(sym)
-		default:
-			r.StepInternal(sym)
-		}
-	}
-}
-
-// flush interns the buffered batch against the shared alphabet, applies it
-// to every runner, updates the shared depth tracking, and empties the
-// buffer.
+// flush interns the buffered batch against the shared alphabet, hands it
+// to every runner in one StepEvents call each, updates the shared depth
+// tracking, and empties the buffer.
 func (s *Session) flush() {
 	if len(s.batch) == 0 {
 		return
@@ -315,7 +299,7 @@ func (s *Session) flush() {
 		}
 	}
 	for _, r := range s.runners {
-		feedRunner(r, s.batch)
+		r.StepEvents(s.batch)
 	}
 	// Depth depends only on the event kinds, so it is tracked once for the
 	// whole session rather than per runner.

@@ -627,16 +627,35 @@ var e21Labels = []string{"a", "b", "c"}
 
 const e21Seed = 21
 
+// e21Events generates the E21 document and collects its events, so the
+// experiments that replay it time the consumers alone: the generator costs
+// tens of ns per event, enough to dilute the speedups being measured.
+func e21Events(size, maxDepth int) []docstream.Event {
+	stream := generator.NewDocumentStream(e21Seed, size, maxDepth, e21Labels)
+	var events []docstream.Event
+	for {
+		e, err := stream.Next()
+		if err == io.EOF {
+			return events
+		}
+		if err != nil {
+			panic(err)
+		}
+		events = append(events, e)
+	}
+}
+
 // E21MultiQueryStreaming measures the engine package's extension of the
 // Section 3.2 streaming claim to N simultaneous queries: a single pass fans
-// every event out to N per-query runners, versus re-scanning (re-generating)
-// the document once per query with one StreamingRunner each.  The document
-// is produced by a streaming generator and never materialized, so the
-// engine's memory is the batch buffer plus one depth-bounded stack per
-// query; the alloc column reports the bytes allocated during the timed
-// pooled pass.
+// every event out to N per-query runners, versus re-scanning the document
+// once per query with one StreamingRunner each.  The document's events are
+// generated once, before any timing, so both columns time the consumers
+// alone; the engine's own memory is still the batch buffer plus one
+// depth-bounded stack per query, and the alloc column reports the bytes
+// allocated during the timed pooled pass.
 func E21MultiQueryStreaming(size, maxDepth int) Table {
 	alpha := alphabet.New(e21Labels...)
+	events := e21Events(size, maxDepth)
 	rows := [][]string{}
 	for _, n := range []int{1, 2, 4, 8, 16} {
 		names, queries := E21Queries(alpha, n)
@@ -644,11 +663,8 @@ func E21MultiQueryStreaming(size, maxDepth int) Table {
 		for i, q := range queries {
 			eng.MustRegister(names[i], q)
 		}
-		stream := func() *generator.DocumentStream {
-			return generator.NewDocumentStream(e21Seed, size, maxDepth, e21Labels)
-		}
 		// Warm-up pass so the timed passes reuse a pooled session.
-		if _, err := eng.Run(stream()); err != nil {
+		if _, err := eng.RunEvents(events); err != nil {
 			panic(err)
 		}
 		// Each side is timed over a few passes and the fastest is kept, so a
@@ -661,7 +677,7 @@ func E21MultiQueryStreaming(size, maxDepth int) Table {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			t0 := time.Now()
-			r, err := eng.Run(stream())
+			r, err := eng.RunEvents(events)
 			d := time.Since(t0)
 			runtime.ReadMemStats(&after)
 			if err != nil {
@@ -680,17 +696,7 @@ func E21MultiQueryStreaming(size, maxDepth int) Table {
 			t0 := time.Now()
 			for i, q := range queries {
 				r := docstream.NewStreamingRunner(q)
-				src := stream()
-				for {
-					e, err := src.Next()
-					if err == io.EOF {
-						break
-					}
-					if err != nil {
-						panic(err)
-					}
-					r.Feed(e)
-				}
+				r.FeedAll(events)
 				serialVerdicts[i] = r.Accepting()
 			}
 			if d := time.Since(t0); rep == 0 || d < serial {
@@ -723,7 +729,8 @@ func E21MultiQueryStreaming(size, maxDepth int) Table {
 
 // E22CompiledVsMap measures the compiled query API against the map-backed
 // automaton representation on multi-query fan-out: the same single pass over
-// the same generated document drives N queries either as compiled runners
+// the same generated document (its events collected before any timing)
+// drives N queries either as compiled runners
 // inside the engine (dense transition tables indexed by interned symbol IDs,
 // one label→ID lookup per event in total) or as N map-keyed
 // docstream.StreamingRunner instances (one map lookup per event per query,
@@ -732,6 +739,7 @@ func E21MultiQueryStreaming(size, maxDepth int) Table {
 // evidence that the compile step pays for itself.
 func E22CompiledVsMap(size, maxDepth int) Table {
 	alpha := alphabet.New(e21Labels...)
+	events := e21Events(size, maxDepth)
 	rows := [][]string{}
 	for _, n := range []int{1, 2, 4, 8, 16} {
 		names, queries := E21Queries(alpha, n)
@@ -739,11 +747,8 @@ func E22CompiledVsMap(size, maxDepth int) Table {
 		for i, q := range queries {
 			eng.MustRegister(names[i], q)
 		}
-		stream := func() *generator.DocumentStream {
-			return generator.NewDocumentStream(e21Seed, size, maxDepth, e21Labels)
-		}
 		// Warm-up pass so the timed passes reuse a pooled session.
-		if _, err := eng.Run(stream()); err != nil {
+		if _, err := eng.RunEvents(events); err != nil {
 			panic(err)
 		}
 		const reps = 3
@@ -751,7 +756,7 @@ func E22CompiledVsMap(size, maxDepth int) Table {
 		var compiled time.Duration
 		for rep := 0; rep < reps; rep++ {
 			t0 := time.Now()
-			r, err := eng.Run(stream())
+			r, err := eng.RunEvents(events)
 			d := time.Since(t0)
 			if err != nil {
 				panic(err)
@@ -770,16 +775,8 @@ func E22CompiledVsMap(size, maxDepth int) Table {
 			for i, q := range queries {
 				runners[i] = docstream.NewStreamingRunner(q)
 			}
-			src := stream()
 			t0 := time.Now()
-			for {
-				e, err := src.Next()
-				if err == io.EOF {
-					break
-				}
-				if err != nil {
-					panic(err)
-				}
+			for _, e := range events {
 				for _, r := range runners {
 					r.Feed(e)
 				}

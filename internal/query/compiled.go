@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"repro/internal/alphabet"
+	"repro/internal/docstream"
 	"repro/internal/nestedword"
 	"repro/internal/nwa"
 )
@@ -271,6 +272,45 @@ func (r *dnwaRunner) StepReturn(sym int) {
 		r.stack = r.stack[:n-1]
 	}
 	r.state = r.c.stepReturn(r.state, hier, clampSym(sym, r.c.syms))
+}
+
+// StepEvents consumes a batch of interned events (Sym-1 is the compiled
+// symbol ID, clamped like the Step methods').  It is the three Step
+// methods fused into one loop with the state, stack and tables in locals,
+// so a batch costs one call instead of one per event.
+//
+//nwvet:hotpath
+func (r *dnwaRunner) StepEvents(evs []docstream.Event) {
+	c := r.c
+	syms, num, dense := c.syms, c.num, c.dense
+	callLin, callHier, internT, returnT := c.callLin, c.callHier, c.internT, c.returnT
+	state, stack := r.state, r.stack
+	for i := range evs {
+		sym := evs[i].Sym - 1
+		if uint(sym) >= uint(syms) {
+			sym = syms - 1
+		}
+		switch evs[i].Kind {
+		case nestedword.Call:
+			j := int(state)*syms + sym
+			stack = append(stack, callHier[j])
+			state = callLin[j]
+		case nestedword.Return:
+			hier := c.start
+			if n := len(stack); n > 0 {
+				hier = stack[n-1]
+				stack = stack[:n-1]
+			}
+			if dense {
+				state = returnT[(int(state)*num+int(hier))*syms+sym]
+			} else {
+				state = c.stepReturn(state, hier, sym)
+			}
+		default:
+			state = internT[int(state)*syms+sym]
+		}
+	}
+	r.state, r.stack = state, stack
 }
 
 //nwvet:hotpath

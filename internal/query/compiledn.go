@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/alphabet"
 	"repro/internal/bitset"
+	"repro/internal/docstream"
 	"repro/internal/nestedword"
 	"repro/internal/nwa"
 )
@@ -475,6 +476,25 @@ func (r *nnwaBitsetRunner) StepReturn(sym int) {
 	}
 	r.recycle(r.S, r.R)
 	r.S, r.R = S, R
+}
+
+// StepEvents consumes a batch of interned events (Sym-1 is the compiled
+// symbol ID) through the Step methods, statically dispatched, so a batch
+// costs one dynamic call instead of one per event.
+//
+//nwvet:hotpath
+func (r *nnwaBitsetRunner) StepEvents(evs []docstream.Event) {
+	for i := range evs {
+		sym := evs[i].Sym - 1
+		switch evs[i].Kind {
+		case nestedword.Call:
+			r.StepCall(sym)
+		case nestedword.Return:
+			r.StepReturn(sym)
+		default:
+			r.StepInternal(sym)
+		}
+	}
 }
 
 // liveMids collects into sel the union of every row of S plus R — the mids

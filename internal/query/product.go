@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/alphabet"
 	"repro/internal/bitset"
+	"repro/internal/docstream"
 )
 
 // This file is the product-compilation layer: it turns a cluster of compiled
@@ -61,6 +62,10 @@ type ProductRunner interface {
 	// StepReturn consumes an element-close event.  On an empty stack the
 	// event is a pending return for every member at once, per Section 3.1.
 	StepReturn(sym int)
+	// StepEvents consumes a batch of events interned against the product's
+	// alphabet — Sym-1 is the compiled symbol ID, as the Step methods take
+	// it — exactly as one Step call per event would, in one call.
+	StepEvents(evs []docstream.Event)
 	// Verdicts overwrites dst — a row of at least QueryCount bits — with
 	// the per-member verdicts for the stream consumed so far, viewed as a
 	// complete nested word: bit j is member j's verdict.
