@@ -138,7 +138,7 @@ func compileBundle(args []string) {
 	path := fs.String("path", "", "comma-separated labels for a hierarchical path query")
 	dslFlag := fs.String("dsl", "", "semicolon-separated DSL queries (e.g. 'within book: title before author; no write after close'); their labels join the alphabet")
 	planFlag := fs.Bool("plan", false, "product-compile clusters of structurally similar queries into shared automata before writing")
-	planBudget := fs.Int("plan-budget", 0, "with -plan: per-product state budget (0 = the planner default; over-budget clusters fan out)")
+	planBudget := fs.Int("plan-budget", 0, "with -plan: per-product state budget (0 = the largest product with a dense return table; over-budget clusters are halved, a single query runs alone; -1 = no products)")
 	planCluster := fs.Int("plan-cluster", 0, "with -plan: maximum queries per product cluster (0 = the planner default)")
 	out := fs.String("o", "queries.nwq", "output bundle file")
 	fs.Parse(args)
@@ -211,13 +211,13 @@ func describeBundle(args []string) {
 			fmt.Printf("  %-30s %s (group %d)\n", q.Name, q.Kind, q.Group)
 			continue
 		}
-		fmt.Printf("  %-30s %s, %d states\n", q.Name, q.Kind, q.States)
+		fmt.Printf("  %-30s %s, %d states, %s returns\n", q.Name, q.Kind, q.States, q.Returns)
 	}
 	if len(desc.Groups) > 0 {
 		fmt.Printf("groups   : %d\n", len(desc.Groups))
 		for i, g := range desc.Groups {
-			fmt.Printf("  group %d: %s, %d states, %d mask words, demuxes %v\n",
-				i+1, g.Kind, g.States, g.MaskWords, g.Queries)
+			fmt.Printf("  group %d: %s, %d states, %s returns, %d mask words, demuxes %v\n",
+				i+1, g.Kind, g.States, g.Returns, g.MaskWords, g.Queries)
 		}
 	}
 }

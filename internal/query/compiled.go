@@ -63,12 +63,25 @@ type Query interface {
 	NewRunner() Runner
 }
 
-// denseReturnLimit is the largest dense return table Compile and CompileN
-// will allocate, in entries (int32 each, so the default caps the table at
-// 16 MiB).  Automata whose numStates²·(|Σ|+1) exceeds it get the sparse
-// sorted-lookup form instead.  A variable rather than a constant so tests
-// can force the sparse path on small automata.
+// denseReturnLimit is the largest dense return table Compile, CompileN and
+// CompileProduct will allocate, in entries (int32 each, so the default caps
+// the table at 16 MiB).  Automata whose numStates²·(|Σ|+1) exceeds it get
+// the sparse sorted-lookup form instead.  A variable rather than a constant
+// so tests can force the sparse path on small automata.
 var denseReturnLimit = 1 << 22
+
+// DenseStates returns the largest state count n whose return table over
+// alpha is stored densely: n²·(|Σ|+1) ≤ denseReturnLimit.  Compile,
+// CompileN and CompileProduct all store returns densely exactly up to this
+// count; one state more and every return becomes a binary search.
+func DenseStates(alpha *alphabet.Alphabet) int {
+	syms := alpha.Size() + 1
+	n := 0
+	for (n+1)*(n+1)*syms <= denseReturnLimit {
+		n++
+	}
+	return n
+}
 
 // sparseTable maps packed transition keys to targets via binary search over
 // a sorted key slice — the compiled fallback for return tables too large to

@@ -6,24 +6,29 @@ import "encoding/hex"
 // bundle: its bundle name, its runner kind ("dnwa" for deterministic
 // compiled tables, "nnwa" for the nondeterministic state-set runner,
 // "product-member" for a query answered by a shared product automaton), and
-// its state count.  A product member carries no states of its own — its
-// group does — so States is 0 and Group points (1-based) at the
-// BundleDesc.Groups entry that answers it.
+// its state count, and how its return table is stored: "dense" (one indexed
+// load per return) or "sparse" (a binary search per return).  A product
+// member carries no tables of its own — its group does — so States is 0,
+// Returns is empty, and Group points (1-based) at the BundleDesc.Groups entry
+// that answers it.
 type QueryDesc struct {
-	Name   string `json:"name"`
-	Kind   string `json:"kind"`
-	States int    `json:"states"`
-	Group  int    `json:"group,omitempty"`
+	Name    string `json:"name"`
+	Kind    string `json:"kind"`
+	States  int    `json:"states"`
+	Returns string `json:"returns,omitempty"`
+	Group   int    `json:"group,omitempty"`
 }
 
 // GroupDesc is the machine-readable description of one product-compiled
 // cluster: the member names in mask-bit order, the shared automaton's kind
-// ("product-dnwa" or "product-nnwa") and state count, and the width in
-// uint64 words of each accept-bitmask row the verdict demux reads.
+// ("product-dnwa" or "product-nnwa"), state count and return-table storage
+// ("dense" or "sparse", as for QueryDesc), and the width in uint64 words of
+// each accept-bitmask row the verdict demux reads.
 type GroupDesc struct {
 	Queries   []string `json:"queries"`
 	Kind      string   `json:"kind"`
 	States    int      `json:"states"`
+	Returns   string   `json:"returns"`
 	MaskWords int      `json:"mask_words"`
 }
 
@@ -66,6 +71,7 @@ func Describe(b *Bundle) BundleDesc {
 		gd := GroupDesc{
 			Kind:      "product-dnwa",
 			States:    g.Product.NumStates(),
+			Returns:   returnsDesc(g.Product.denseReturns()),
 			MaskWords: g.Product.maskW,
 		}
 		if !g.Product.Deterministic() {
@@ -81,13 +87,21 @@ func Describe(b *Bundle) BundleDesc {
 		q := QueryDesc{Name: b.Name(i), Kind: "dnwa"}
 		switch c := b.Query(i).(type) {
 		case *Compiled:
-			q.States = c.NumStates()
+			q.States, q.Returns = c.NumStates(), returnsDesc(c.Dense())
 		case *CompiledN:
-			q.Kind, q.States = "nnwa", c.NumStates()
+			q.Kind, q.States, q.Returns = "nnwa", c.NumStates(), returnsDesc(c.Dense())
 		case nil:
 			q.Kind, q.Group = "product-member", groupOf[i]
 		}
 		d.Queries = append(d.Queries, q)
 	}
 	return d
+}
+
+// returnsDesc names a return table's storage form.
+func returnsDesc(dense bool) string {
+	if dense {
+		return "dense"
+	}
+	return "sparse"
 }

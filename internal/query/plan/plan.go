@@ -8,11 +8,14 @@
 // per-query accept bitmask — per-event cost then stops scaling with the
 // cluster size.  The same multiplicative bound is the hazard: a bad cluster
 // multiplies to an enormous state space.  The planner therefore works under
-// a state budget.  Queries are grouped by compiled form (deterministic
-// products and joint nondeterministic unions cannot mix), chunked into
-// clusters of at most ClusterSize in bundle order, and each cluster is
-// product-compiled; a cluster whose product exceeds StateBudget falls back
-// to per-query fan-out, verdicts unchanged (TestPlannerBudgetFallback pins
+// a state budget, by default query.DenseStates: the largest product whose
+// return table is still one indexed load instead of a binary search.
+// Queries are grouped by compiled form (deterministic products and joint
+// nondeterministic unions cannot mix), chunked into clusters of at most
+// ClusterSize in bundle order, and each cluster is product-compiled; a
+// cluster whose product exceeds StateBudget is halved in bundle order and
+// each half planned the same way, so only a part halved down to a single
+// query runs on its own, verdicts unchanged (TestPlannerBudgetFallback pins
 // this).  Experiment E28 measures where the crossover sits; see
 // docs/COMPILATION.md for the pipeline this package sits in the middle of.
 package plan
@@ -24,12 +27,6 @@ import (
 	"repro/internal/query"
 )
 
-// DefaultStateBudget is the product state cap used when Options leaves
-// StateBudget zero: small enough that a pathological cluster degrades to
-// fan-out instead of a giant table, large enough for the clusters E28 shows
-// winning.
-const DefaultStateBudget = 4096
-
 // DefaultClusterSize is the cluster width used when Options leaves
 // ClusterSize zero — the "≥8 structurally similar queries" region where E28
 // shows the product beating fan-out, without betting the whole bundle on
@@ -39,9 +36,10 @@ const DefaultClusterSize = 8
 // Options tunes the planner.  The zero value means the defaults.
 type Options struct {
 	// StateBudget caps each product's state count; a cluster whose product
-	// would exceed it is fanned out instead.  Zero means
-	// DefaultStateBudget; negative means no product compilation at all
-	// (plan everything as fan-out).
+	// would exceed it is halved until its parts fit, and a single query
+	// runs on its own.  Zero means query.DenseStates of the bundle's
+	// alphabet, so every product keeps a dense return table; negative
+	// means no product compilation at all (plan everything as fan-out).
 	StateBudget int
 	// ClusterSize is the maximum number of queries per product cluster.
 	// Zero means DefaultClusterSize; values below 2 disable clustering,
@@ -59,23 +57,22 @@ type Decision struct {
 }
 
 // Bundle plans a compiled bundle: structurally compatible queries are
-// chunked into clusters and product-compiled, over-budget clusters fall
-// back to fan-out, and the result is a planned bundle with identical names,
-// order, and verdicts.  The input bundle is not modified and must itself be
-// unplanned.
+// chunked into clusters and product-compiled, over-budget clusters are
+// halved until their parts fit, and the result is a planned bundle with
+// identical names, order, and verdicts.  The input bundle is not modified
+// and must itself be unplanned.
 func Bundle(b *query.Bundle, opts Options) (*query.Bundle, Decision, error) {
 	if len(b.Groups()) != 0 {
 		return nil, Decision{}, fmt.Errorf("plan: bundle is already planned (%d groups)", len(b.Groups()))
 	}
 	if opts.StateBudget == 0 {
-		opts.StateBudget = DefaultStateBudget
+		opts.StateBudget = query.DenseStates(b.Alphabet())
 	}
 	if opts.ClusterSize == 0 {
 		opts.ClusterSize = DefaultClusterSize
 	}
 
 	var dec Decision
-	var clusters [][]int
 	var products []*query.CompiledProduct
 	solo := func(indices ...int) { dec.Solo = append(dec.Solo, indices...) }
 
@@ -93,40 +90,48 @@ func Bundle(b *query.Bundle, opts Options) (*query.Bundle, Decision, error) {
 		}
 	}
 
+	// place product-compiles one cluster, halving it in bundle order while
+	// its product is over budget; a cluster of n queries makes at most n−1
+	// attempts, each stopped at the budget.
+	var place func(cluster []int) error
+	place = func(cluster []int) error {
+		if len(cluster) < 2 || opts.StateBudget < 0 {
+			solo(cluster...)
+			return nil
+		}
+		members := make([]query.Query, len(cluster))
+		for j, idx := range cluster {
+			members[j] = b.Query(idx)
+		}
+		p, err := query.CompileProduct(members, opts.StateBudget)
+		switch {
+		case errors.Is(err, query.ErrStateBudget):
+			// The multiplicative blow-up case: the halves multiply far
+			// fewer states than the whole.
+			half := len(cluster) / 2
+			if err := place(cluster[:half]); err != nil {
+				return err
+			}
+			return place(cluster[half:])
+		case err != nil:
+			return fmt.Errorf("plan: cluster %v: %w", cluster, err)
+		}
+		products = append(products, p)
+		dec.Groups = append(dec.Groups, cluster)
+		dec.States += p.NumStates()
+		return nil
+	}
 	for _, class := range [][]int{det, ndet} {
 		for len(class) > 0 {
-			n := opts.ClusterSize
-			if n > len(class) {
-				n = len(class)
+			n := min(opts.ClusterSize, len(class))
+			if err := place(class[:n]); err != nil {
+				return nil, Decision{}, err
 			}
-			cluster := class[:n]
 			class = class[n:]
-			if n < 2 || opts.StateBudget < 0 {
-				solo(cluster...)
-				continue
-			}
-			members := make([]query.Query, n)
-			for j, idx := range cluster {
-				members[j] = b.Query(idx)
-			}
-			p, err := query.CompileProduct(members, opts.StateBudget)
-			switch {
-			case errors.Is(err, query.ErrStateBudget):
-				// The multiplicative blow-up case: this cluster is cheaper
-				// fanned out than materialized.
-				solo(cluster...)
-			case err != nil:
-				return nil, Decision{}, fmt.Errorf("plan: cluster %v: %w", cluster, err)
-			default:
-				clusters = append(clusters, cluster)
-				products = append(products, p)
-				dec.Groups = append(dec.Groups, cluster)
-				dec.States += p.NumStates()
-			}
 		}
 	}
 
-	planned, err := query.NewPlannedBundle(b, clusters, products)
+	planned, err := query.NewPlannedBundle(b, dec.Groups, products)
 	if err != nil {
 		return nil, Decision{}, fmt.Errorf("plan: %w", err)
 	}

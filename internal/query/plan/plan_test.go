@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/alphabet"
 	"repro/internal/bitset"
 	"repro/internal/generator"
 	"repro/internal/nestedword"
@@ -40,15 +41,16 @@ func ndetName(i int) string { return "ndet-" + string(rune('a'+i)) }
 func verdictsAgree(t *testing.T, src, planned *query.Bundle) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(42))
+	alpha := src.Alphabet()
+	labels := alpha.Symbols()
 	words := make([]*nestedword.NestedWord, 150)
 	for i := range words {
 		if i%3 == 0 {
-			words[i] = generator.RandomNestedWord(rng, rng.Intn(40), []string{"a", "b", "zz"})
+			words[i] = generator.RandomNestedWord(rng, rng.Intn(40), append(labels, "zz"))
 		} else {
-			words[i] = generator.RandomDocument(rng, 2+rng.Intn(40), 5, []string{"a", "b"})
+			words[i] = generator.RandomDocument(rng, 2+rng.Intn(40), 5, labels)
 		}
 	}
-	alpha := src.Alphabet()
 	got := make([]bool, planned.Len())
 	for wi, w := range words {
 		for i := range got {
@@ -166,6 +168,41 @@ func TestPlannerBudgetFallback(t *testing.T) {
 		if planned.Query(i) == nil {
 			t.Fatalf("fallback left query %q without a runner", planned.Name(i))
 		}
+	}
+	verdictsAgree(t, src, planned)
+}
+
+// TestPlannerBisectsOverBudget gives the planner one cluster whose whole
+// product is over an explicit budget while both halves fit: the cluster is
+// halved into two products instead of fanned out.
+func TestPlannerBisectsOverBudget(t *testing.T) {
+	labels := []string{"a", "b", "c", "d"}
+	alpha := alphabet.New(labels...)
+	src := query.NewBundle(alpha)
+	members := make([]query.Query, len(labels))
+	for i, l := range labels {
+		members[i] = query.Compile(query.ContainsLabel(alpha, l))
+		if err := src.Add("contains "+l, members[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	states := func(ms []query.Query) int {
+		p, err := query.CompileProduct(ms, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p.NumStates()
+	}
+	budget := max(states(members[:2]), states(members[2:]))
+	if whole := states(members); whole <= budget {
+		t.Fatalf("fixture: whole product has %d states, halves fit in %d", whole, budget)
+	}
+	planned, dec, err := Bundle(src, Options{StateBudget: budget})
+	if err != nil {
+		t.Fatalf("Bundle: %v", err)
+	}
+	if len(dec.Groups) != 2 || len(dec.Solo) != 0 {
+		t.Fatalf("decision = %+v, want 2 groups and 0 solo", dec)
 	}
 	verdictsAgree(t, src, planned)
 }

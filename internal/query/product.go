@@ -42,11 +42,11 @@ import (
 // multiplicative state cost the paper proves closure under (Section 3.2),
 // which is exactly why CompileProduct takes a state budget: a cluster whose
 // reachable product outgrows the budget is rejected with ErrStateBudget, and
-// the planner (internal/query/plan) falls back to per-query fan-out for it.
+// the planner (internal/query/plan) halves the cluster and tries again.
 
 // ErrStateBudget is reported by CompileProduct when the product's state
 // space would exceed the caller's budget.  Callers — the planner above all —
-// treat it as "fan this cluster out per query" rather than as a failure.
+// treat it as "split this cluster" rather than as a failure.
 var ErrStateBudget = errors.New("query: product exceeds the state budget")
 
 // ProductRunner is the streaming face of a product-compiled cluster: the
@@ -116,6 +116,18 @@ func (p *CompiledProduct) NumStates() int {
 		return c.num
 	}
 	return 0
+}
+
+// denseReturns reports whether the shared automaton's return table is
+// stored densely.
+func (p *CompiledProduct) denseReturns() bool {
+	switch c := p.inner.(type) {
+	case *Compiled:
+		return c.dense
+	case *CompiledN:
+		return c.dense
+	}
+	return false
 }
 
 // Deterministic reports whether the product is a deterministic tuple product

@@ -290,3 +290,42 @@ func TestSoloProduct(t *testing.T) {
 		t.Fatal("SoloProduct accepted a Query that is neither *Compiled nor *CompiledN")
 	}
 }
+
+// TestDenseStates pins DenseStates to the dense/sparse threshold every
+// compiled form uses: it is the largest n with n²·(|Σ|+1) ≤ denseReturnLimit,
+// a product of exactly that many states stores its returns densely, and one
+// state more makes them sparse.
+func TestDenseStates(t *testing.T) {
+	labels := make([]string, 64)
+	for i := range labels {
+		labels[i] = string(rune('A' + i))
+	}
+	for _, size := range []int{1, 2, 3, 7, 16, 63} {
+		alpha := alphabet.New(labels[:size]...)
+		n, syms := DenseStates(alpha), size+1
+		if n*n*syms > denseReturnLimit || (n+1)*(n+1)*syms <= denseReturnLimit {
+			t.Errorf("|Σ| = %d: DenseStates = %d is not the largest n with n²·%d ≤ %d",
+				size, n, syms, denseReturnLimit)
+		}
+	}
+	// Joint unions have exactly the summed member state count, so they hit
+	// the threshold to the state.
+	for _, size := range []int{3, 16} {
+		alpha := alphabet.New(labels[:size]...)
+		n := DenseStates(alpha)
+		for _, states := range []int{n, n + 1} {
+			big := nwa.NewNNWA(alpha, states-1).AddStart(0).AddAccept(0)
+			small := nwa.NewNNWA(alpha, 1).AddStart(0)
+			p, err := CompileProduct([]Query{CompileN(big), CompileN(small)}, 0)
+			if err != nil {
+				t.Fatalf("|Σ| = %d, %d states: %v", size, states, err)
+			}
+			if p.NumStates() != states {
+				t.Fatalf("|Σ| = %d: union has %d states, want %d", size, p.NumStates(), states)
+			}
+			if dense := p.denseReturns(); dense != (states == n) {
+				t.Errorf("|Σ| = %d, %d states (DenseStates %d): Dense() = %v", size, states, n, dense)
+			}
+		}
+	}
+}

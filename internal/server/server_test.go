@@ -466,6 +466,11 @@ func TestStatusAndMetrics(t *testing.T) {
 	if got := len(st.BundleInfo.Bundle.Queries); got != 3 {
 		t.Errorf("bundle description has %d queries, want 3", got)
 	}
+	for _, q := range st.BundleInfo.Bundle.Queries {
+		if q.Returns != "dense" {
+			t.Errorf("status query %q reports %q returns, want dense", q.Name, q.Returns)
+		}
+	}
 	if len(st.ShardStats) != 2 || st.Shards != 2 || st.QueueCap != 8 {
 		t.Errorf("pool shape: %+v", st)
 	}
